@@ -11,10 +11,12 @@ a single output byte.
 import csv
 import io
 import math
+import os
 import sys
 
 import numpy as np
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .bases import BASIS_FAMILIES, make_basis
@@ -197,8 +199,29 @@ def _chunk_ranges(replicates, workers):
     return [(a, min(a + size, replicates)) for a in range(0, replicates, size)]
 
 
-def _run_cells(kind, config, cells):
-    """Run all (m, n, scheme) cells, returning {cell_key: sorted records}."""
+@contextmanager
+def _worker_pool(workers):
+    """A process pool for one driver call, or None when workers <= 1.
+
+    The pool never has more processes than the CPUs this process may run
+    on. Chunking still follows the requested worker count, so the output
+    does not depend on the machine. Workers keep their basis and sampler
+    caches for as long as the pool is open.
+    """
+    if workers <= 1:
+        yield None
+        return
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
+        yield pool
+
+
+def _run_cells(kind, config, cells, pool):
+    """Run all (m, n, scheme) cells on `pool` (in this process when it is
+    None), returning {cell_key: sorted records}."""
     tasks = []
     for (m, n, scheme) in cells:
         for (a, b) in _chunk_ranges(config.replicates, config.workers):
@@ -206,11 +229,7 @@ def _run_cells(kind, config, cells):
                           config.alpha, config.delta, config.max_attempts,
                           config.target_id, config.seed, a, b))
     out = {}
-    if config.workers <= 1:
-        results = map(_run_chunk, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_chunk, tasks))
+    results = (map if pool is None else pool.map)(_run_chunk, tasks)
     for cell, records in results:
         out.setdefault(cell, []).extend(records)
     for records in out.values():
@@ -267,7 +286,8 @@ def stability_map(config, out=None):
                 f"stability map supports {STABILITY_SCHEMES}, got {s!r}")
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
-    results = _run_cells("stability", config, cells)
+    with _worker_pool(config.workers) as pool:
+        results = _run_cells("stability", config, cells, pool)
     header = ["m", "n", "scheme", "p_hat", "replicates", "seed", "failures"]
     rows = []
     for (m, n, s) in cells:
@@ -296,7 +316,8 @@ def error_table(config, out=None):
     """
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
-    results = _run_cells("error", config, cells)
+    with _worker_pool(config.workers) as pool:
+        results = _run_cells("error", config, cells, pool)
     header = ["m", "n", "best"]
     for s in config.schemes:
         header += [f"{s}_rms", f"{s}_q95", f"{s}_capped", f"{s}_failures"]
@@ -328,7 +349,8 @@ def error_histogram(config, out=None):
     logarithm; binning is left to plotting tools."""
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
-    results = _run_cells("error", config, cells)
+    with _worker_pool(config.workers) as pool:
+        results = _run_cells("error", config, cells, pool)
     header = ["m", "n", "scheme", "replicate", "status",
               "rel_error", "log_rel_error"]
     rows = []
@@ -365,7 +387,9 @@ def conjecture_check(m, t_grid, replicates, seed, basis_family="legendre",
     config = ExperimentConfig(basis_family=basis_family, schemes=("repeated-dpp",),
                               m_values=(m,), n_values=(m,), replicates=replicates,
                               seed=seed, workers=workers)
-    records = _run_cells("conjecture", config, [(m, m, "repeated-dpp")])
+    with _worker_pool(config.workers) as pool:
+        records = _run_cells("conjecture", config, [(m, m, "repeated-dpp")],
+                             pool)
     records = records[_cell_key(m, m, "repeated-dpp")]
     lam_dpp = np.array([r[1] for r in records])
     lam_iid = np.array([r[2] for r in records])
@@ -412,15 +436,17 @@ def minimal_stable_n(basis_family, scheme, m, delta, replicates, seed,
                      n_max, workers=1, alpha=1.0):
     """Smallest n with empirical P(lambda_min(G^w) >= 1-delta) >= 1/2,
     walking n upward from m; None when n_max is passed without reaching
-    the threshold."""
-    for n in range(int(m), int(n_max) + 1):
-        config = ExperimentConfig(basis_family=basis_family, schemes=(scheme,),
-                                  m_values=(m,), n_values=(n,),
-                                  replicates=replicates, seed=seed,
-                                  delta=delta, workers=workers, alpha=alpha)
-        results = _run_cells("stability", config, [(m, n, scheme)])
-        records = results[_cell_key(m, n, scheme)]
-        hits = sum(ev for (_, status, ev) in records if status == "ok")
-        if hits / replicates >= 0.5:
-            return n
+    the threshold. One worker pool serves the whole walk."""
+    with _worker_pool(workers) as pool:
+        for n in range(int(m), int(n_max) + 1):
+            config = ExperimentConfig(basis_family=basis_family,
+                                      schemes=(scheme,), m_values=(m,),
+                                      n_values=(n,), replicates=replicates,
+                                      seed=seed, delta=delta, workers=workers,
+                                      alpha=alpha)
+            results = _run_cells("stability", config, [(m, n, scheme)], pool)
+            records = results[_cell_key(m, n, scheme)]
+            hits = sum(ev for (_, status, ev) in records if status == "ok")
+            if hits / replicates >= 0.5:
+                return n
     return None

@@ -6,41 +6,23 @@ function of (parameters, seed) no matter how replicates are chunked
 across workers. KEY is an arbitrary integer, distinct per helper, that
 keeps draws uncorrelated between helpers sharing a seed.
 
-Workers rebuild bases inside each process; module-level caches make that
-a one-time cost per process.
+Pools, bases and evaluators come from the experiment harness
+(`experiments._worker_pool`, `_get_basis`, `_get_evaluator`): a pool
+lives for one helper call, and each worker builds a basis at most once
+in it.
 """
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from dppls.bases import make_basis
-from dppls.experiments import TARGETS
-from dppls.lsq import ErrorEvaluator, empirical_gram, empirical_seminorm, weighted_lsq_fit
+from dppls.experiments import TARGETS, _get_basis, _get_evaluator, _worker_pool
+from dppls.lsq import empirical_gram, empirical_seminorm, weighted_lsq_fit
 from dppls.samplers import (draw_design, make_weight, replicate_stream,
                             sample_christoffel, sample_dpp, sample_volume)
 
 _WORKERS = min(8, os.cpu_count() or 1)
-
-_basis_cache = {}
-_evaluator_cache = {}
-
-
-def _basis(family, m):
-    key = (family, m)
-    if key not in _basis_cache:
-        _basis_cache[key] = make_basis(family, m)
-    return _basis_cache[key]
-
-
-def _evaluator(family, m):
-    key = (family, m)
-    if key not in _evaluator_cache:
-        _evaluator_cache[key] = ErrorEvaluator(
-            TARGETS["inv-quad"].evaluator, _basis(family, m))
-    return _evaluator_cache[key]
 
 
 def _ranges(total, pieces):
@@ -49,10 +31,8 @@ def _ranges(total, pieces):
 
 
 def _run(fn, tasks, workers):
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    with _worker_pool(workers) as pool:
+        return list((map if pool is None else pool.map)(fn, tasks))
 
 
 def _pooled_array(fn, payload, total, seed, workers):
@@ -65,7 +45,7 @@ def _pooled_array(fn, payload, total, seed, workers):
 
 def _pwc_chunk(task):
     m, lo, hi, seed = task
-    basis = _basis("pwc", m)
+    basis = _get_basis("pwc", m)
     expected = np.arange(m)
     bad = 0
     worst = 0.0
@@ -92,7 +72,7 @@ def pwc_dpp_summary(m, total, seed, workers=_WORKERS):
 
 def _first_coord_chunk(task):
     family, m, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     return np.array([sample_dpp(basis, replicate_stream(seed, rep, 902)).points[0]
                      for rep in range(lo, hi)])
 
@@ -103,7 +83,7 @@ def dpp_first_coords(family, m, total, seed, workers=_WORKERS):
 
 def _all_coords_chunk(task):
     family, m, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     return np.concatenate(
         [sample_dpp(basis, replicate_stream(seed, rep, 903)).points
          for rep in range(lo, hi)])
@@ -120,7 +100,7 @@ def dpp_all_coords(family, m, total, seed, workers=_WORKERS):
 
 def _volume_coef_chunk(task):
     family, m, n, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     f = TARGETS["inv-quad"].evaluator
     out = np.empty((hi - lo, m))
     for i, rep in enumerate(range(lo, hi)):
@@ -136,7 +116,7 @@ def volume_coefficients(family, m, n, total, seed, workers=_WORKERS):
 
 def _trace_inv_chunk(task):
     family, m, n, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     out = np.empty(hi - lo)
     for i, rep in enumerate(range(lo, hi)):
         design = draw_design("volume", basis, n, replicate_stream(seed, rep, 905))
@@ -152,7 +132,7 @@ def volume_trace_inv(family, m, n, total, seed, workers=_WORKERS):
 
 def _volume_coord_chunk(task):
     family, m, n, weight_kind, coord, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     w = make_weight(weight_kind)
     return np.array(
         [sample_volume(basis, w, n, replicate_stream(seed, rep, 906)).points[coord]
@@ -173,7 +153,7 @@ def volume_coord(family, m, n, total, seed, weight_kind="unit", coord=0,
 
 def _gram_sum_chunk(task):
     family, m, n, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     s = np.zeros((m, m))
     s2 = np.zeros((m, m))
     for rep in range(lo, hi):
@@ -198,7 +178,7 @@ def gram_mean_stats(family, m, n, total, seed, workers=_WORKERS):
 
 def _seminorm_chunk(task):
     family, m, n, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     out = np.empty(hi - lo)
     for i, rep in enumerate(range(lo, hi)):
         design = draw_design("iid-christoffel", basis, n,
@@ -215,7 +195,7 @@ def seminorm_squares(family, m, n, total, seed, workers=_WORKERS):
 
 def _christoffel_chunk(task):
     family, m, lo, hi, seed = task
-    basis = _basis(family, m)
+    basis = _get_basis(family, m)
     return np.array([sample_christoffel(basis, replicate_stream(seed, rep, 909))
                      for rep in range(lo, hi)])
 
@@ -229,8 +209,8 @@ def christoffel_points(family, m, total, seed, workers=_WORKERS):
 
 def _rel_error_chunk(task):
     family, m, n, scheme, lo, hi, seed = task
-    basis = _basis(family, m)
-    ev = _evaluator(family, m)
+    basis = _get_basis(family, m)
+    ev = _get_evaluator(family, m, "inv-quad")
     out = np.empty(hi - lo)
     for i, rep in enumerate(range(lo, hi)):
         design = draw_design(scheme, basis, n, replicate_stream(seed, rep, 910))

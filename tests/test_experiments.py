@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from dppls import experiments
 from dppls.errors import UnderdeterminedDesignError, ValidationError
 from dppls.experiments import (BLOWUP_CAP, ExperimentConfig, conjecture_check,
                                dump_design, error_histogram, error_table,
@@ -322,6 +323,30 @@ def test_minimal_stable_n_exhausts_to_none():
     got = minimal_stable_n("hermite", "iid-mu", 8, 0.75, replicates=50,
                            seed=0, n_max=8)
     assert got is None
+
+
+def test_minimal_stable_n_worker_count_invariant():
+    got = [minimal_stable_n("legendre", "iid-christoffel", 3, 0.75,
+                            replicates=30, seed=0, n_max=30, workers=w)
+           for w in (1, 2, 3)]
+    assert got[0] is not None and got[0] > 3
+    assert got == [got[0]] * 3
+
+
+def test_minimal_stable_n_opens_one_capped_pool(monkeypatch):
+    sizes = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    # the walk visits n = 3, 4, 5 before it stops
+    got = minimal_stable_n("legendre", "iid-christoffel", 3, 0.75,
+                           replicates=30, seed=0, n_max=30, workers=8)
+    assert got == 5
+    assert sizes == [min(8, len(os.sched_getaffinity(0)))]
 
 
 # ---------------------------------------------------------------------------
