@@ -1,16 +1,26 @@
 """Random designs for weighted least squares: i.i.d. sampling from mu, from
-the inverse Christoffel measure nu_m = w_m mu or from mixtures, exact
-sequential sampling of the projection DPP gamma_m, generalized volume
-sampling gamma_n^nu, repeated DPP designs, and rejection sampling
-conditioned on the stability event lambda_min(G^w) >= 1 - delta.
+the inverse Christoffel measure nu_m = w_m mu or from mixtures, draws of
+the projection DPP gamma_m, generalized volume sampling gamma_n^nu,
+repeated DPP designs, and rejection sampling conditioned on the stability
+event lambda_min(G^w) >= 1 - delta.
+
+gamma_m has two samplers. For exactly the shipped bases (HermiteBasis,
+LegendreBasis, PiecewiseConstantBasis) it is a beta = 2 orthogonal
+polynomial ensemble, or one uniform point per cell, and is drawn exactly
+from its random tridiagonal matrix model. Every other basis, subclasses
+included, goes through the sequential sampler, whose conditional densities
+are tabulated on a grid and so are grid-approximate.
 """
 
 import math
+import weakref
 
 import numpy as np
 from dataclasses import dataclass, replace
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .bases import PiecewiseConstantBasis, empty_rotation, extend_rotation
+from .bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
+                    empty_rotation, extend_rotation)
 from .errors import (ConditioningFailureError, DegeneratePointError,
                      EmptyDesignError, SamplerFailureError,
                      UnderdeterminedDesignError, ValidationError)
@@ -71,7 +81,9 @@ class MixtureWeight(WeightFunction):
         self.alpha = alpha
         self.h = h if h is not None else (lambda x: np.ones_like(np.asarray(x, dtype=float)))
         self._h_sampler = h_sampler
-        self._h_grid_samplers = {}
+        # an entry dies with its basis, so a later basis allocated at the
+        # same address never finds a sampler built for another measure
+        self._h_grid_samplers = weakref.WeakKeyDictionary()
 
     def evaluate(self, basis, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -81,13 +93,12 @@ class MixtureWeight(WeightFunction):
         """One draw from h mu."""
         if self._h_sampler is not None:
             return self._h_sampler(basis.measure, rng)
-        key = id(basis)
-        sampler = self._h_grid_samplers.get(key)
+        sampler = self._h_grid_samplers.get(basis)
         if sampler is None:
             support = basis.measure.effective_support(basis.m)
             sampler = build_density_sampler(self.h, basis.measure,
                                             STATIC_MASS_TOL, support=support)
-            self._h_grid_samplers[key] = sampler
+            self._h_grid_samplers[basis] = sampler
         return sampler.sample(rng)
 
 
@@ -251,13 +262,84 @@ def _sample_from_weight(w, basis, rng):
     return sample_mixture_point(w, basis, rng)
 
 
+def _hermite_ensemble(basis, gen):
+    """Eigenvalues of the beta = 2 Hermite matrix model (Dumitriu and
+    Edelman 2002): diagonal i.i.d. N(0, 1), off-diagonal sqrt(chi^2_{2k}/2)
+    for k = m-1, ..., 1. Their law is gamma_m for weight exp(-x^2/2)."""
+    m = basis.m
+    diag = gen.standard_normal(m)
+    # chi^2_{2k} / 2 is Gamma(k, 1)
+    off = np.sqrt(gen.standard_gamma(np.arange(m - 1, 0, -1, dtype=float)))
+    return eigvalsh_tridiagonal(diag, off)
+
+
+def _legendre_ensemble(basis, gen):
+    """Eigenvalues of the Killip-Nenciu Jacobi matrix model (IMRN 2004,
+    Theorem 2) at beta = 2, a = b = 0, mapped from [-2, 2] onto the
+    measure's interval. Their law is gamma_m for the uniform weight."""
+    m = basis.m
+    k = np.arange(2 * m - 1, dtype=float)
+    even = k % 2 == 0
+    s = np.where(even, m - k / 2, (2 * m - k + 1) / 2)
+    t = np.where(even, m - k / 2, (2 * m - k - 1) / 2)
+    # alpha_i sits at index i + 2 for i = -2..2m-1; alpha_{-2} only ever
+    # multiplies 1 + alpha_{-1} = 0
+    alpha = np.zeros(2 * m + 2)
+    alpha[1] = alpha[-1] = -1.0
+    alpha[2:-1] = 2.0 * gen.beta(t, s) - 1.0
+    odd = alpha[1::2]            # alpha_{2j-1}, j = 0..m
+    cur = alpha[2::2]            # alpha_{2j},   j = 0..m-1
+    prev = alpha[0:-2:2]         # alpha_{2j-2}, j = 0..m-1
+    diag = (1.0 - odd[:-1]) * cur - (1.0 + odd[:-1]) * prev
+    off = np.sqrt((1.0 - odd[:-2]) * (1.0 - cur[:-1] ** 2) * (1.0 + odd[1:-1]))
+    eig = 0.5 * eigvalsh_tridiagonal(diag, off)
+    a, b = basis.measure.a, basis.measure.b
+    return np.clip(0.5 * (a + b) + 0.5 * (b - a) * eig, a, b)
+
+
+def _pwc_ensemble(basis, gen):
+    """One uniform point in each of the m cells."""
+    m = basis.m
+    a, b = basis.measure.a, basis.measure.b
+    return a + (b - a) * (np.arange(m) + gen.random(m)) / m
+
+
+# matched on the exact type: a subclass may change the features, and with
+# them the law, so it keeps the sequential sampler
+_EXACT_DPP = {
+    HermiteBasis: _hermite_ensemble,
+    LegendreBasis: _legendre_ensemble,
+    PiecewiseConstantBasis: _pwc_ensemble,
+}
+
+
 def sample_dpp(basis, rng):
-    """Exact draw of m points from the projection DPP gamma_m.
+    """Draw of m points from the projection DPP gamma_m.
+
+    For exactly HermiteBasis, LegendreBasis and PiecewiseConstantBasis the
+    draw is exact: the eigenvalues of the family's random tridiagonal
+    matrix model (one uniform point per cell for piecewise constants), in
+    a uniformly random order. Any other basis, subclasses included, uses
+    the grid-approximate sequential sampler `_sample_dpp_sequential`.
+    """
+    ensemble = _EXACT_DPP.get(type(basis))
+    if ensemble is None:
+        return _sample_dpp_sequential(basis, rng)
+    gen, seed = as_rng(rng)
+    # the eigenvalues come out sorted; repeated designs keep a prefix
+    pts = ensemble(basis, gen)[gen.permutation(basis.m)]
+    return DesignSample(pts, basis.christoffel(pts), "dpp", seed)
+
+
+def _sample_dpp_sequential(basis, rng):
+    """Draw of m points from the projection DPP gamma_m for any basis.
 
     Sequential factorization: x_1 ~ nu_m, then x_k follows the conditional
     density p_k(x) = ||phi(x) - P_{W_{k-1}} phi(x)||^2 / (m - k + 1) w.r.t.
     mu, where W_{k-1} is the span of the features of the previous points.
     The running residual is updated with one rotated basis vector per step.
+    Each conditional is sampled through its tabulation on a fixed grid, so
+    the draw is exact only up to that grid's resolution.
     """
     gen, seed = as_rng(rng)
     m = basis.m

@@ -4,9 +4,8 @@ PASS/FAIL line through the terminal summary hook in conftest.
 Criteria 1-3 compare against printed two-digit reference values whose
 exact replicate counts are not recorded anywhere; the deterministic
 best-approximation column and the heavy-tailed i.i.d. column land outside
-the stated tolerances (and the volume column does at the default seed).
-Those tests fail as found; the underlying statistics are asserted as
-computed, not adjusted to force green.
+the stated tolerances. Those tests fail as found; the underlying
+statistics are asserted as computed, not adjusted to force green.
 """
 
 import io

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from dppls.bases import make_basis
+from dppls.bases import HermiteBasis, LegendreBasis, make_basis
 from dppls.errors import (ConditioningFailureError, EmptyDesignError,
                           UnderdeterminedDesignError, ValidationError)
 from dppls.lsq import empirical_gram
-from dppls.measures import gauss_quadrature
-from dppls.samplers import (SCHEMES, canonical_scheme, draw_design,
-                            make_weight, replicate_stream, sample_christoffel,
+from dppls.measures import UniformInterval, gauss_quadrature
+from dppls.samplers import (SCHEMES, MixtureWeight, _sample_dpp_sequential,
+                            canonical_scheme, draw_design, make_weight,
+                            replicate_stream, sample_christoffel,
                             sample_conditioned, sample_dpp,
                             sample_mixture_point, sample_repeated_dpp,
                             sample_volume, scheme_weight)
@@ -85,6 +86,19 @@ def test_mixture_weight_has_unit_mass(alpha):
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+def test_mixture_h_sampler_cache_does_not_outlive_its_basis():
+    """Fresh bases on disjoint intervals, one weight: every draw lands in
+    the interval of the basis it was drawn for, even when a collected
+    basis's address is reused."""
+    w = MixtureWeight(0.5)
+    rng = replicate_stream(56, 0)
+    for t in range(20):
+        b = LegendreBasis(3, UniformInterval(10.0 * t, 10.0 * t + 1.0))
+        xs = np.array([sample_mixture_point(w, b, rng) for _ in range(20)])
+        assert np.all((xs >= b.measure.a) & (xs <= b.measure.b)), t
+        del b
+
+
 # ---------------------------------------------------------------------------
 # Christoffel sampling
 
@@ -137,6 +151,76 @@ def test_dpp_pooled_coordinate_marginal_m8(family):
     nu_m; pooling all coordinates of 1e4 draws sharpens the test."""
     xs = mc.dpp_all_coords(family, 8, 10_000, seed=27)
     assert kstest(xs, oracles.christoffel_cdf(family, 8)).pvalue > 0.001
+
+
+# same features as the shipped bases; being subclasses, they are drawn by
+# the sequential sampler, the reference for the matrix models
+
+class _SeqHermite(HermiteBasis):
+    pass
+
+
+class _SeqLegendre(LegendreBasis):
+    pass
+
+
+def test_dpp_subclass_takes_sequential_path():
+    a = sample_dpp(_SeqHermite(4), replicate_stream(57, 0))
+    b = _sample_dpp_sequential(HermiteBasis(4), replicate_stream(57, 0))
+    c = sample_dpp(HermiteBasis(4), replicate_stream(57, 0))
+    assert np.array_equal(a.points, b.points)
+    assert not np.array_equal(a.points, c.points)
+
+
+def _lambda_min_and_gap(basis, seed, total):
+    lam = np.empty(total)
+    gap = np.empty(total)
+    for rep in range(total):
+        d = sample_dpp(basis, replicate_stream(seed, rep))
+        lam[rep] = empirical_gram(d, basis).lambda_min
+        gap[rep] = np.diff(np.sort(d.points)).min()
+    return lam, gap
+
+
+@pytest.mark.parametrize("exact, sequential", [(HermiteBasis, _SeqHermite),
+                                               (LegendreBasis, _SeqLegendre)])
+def test_dpp_exact_matches_sequential_reference(exact, sequential):
+    """Two routes to the same law: the matrix-model draw against the
+    sequential sampler, on lambda_min(G) and on the smallest gap."""
+    lam_e, gap_e = _lambda_min_and_gap(exact(5), 58, 1500)
+    lam_s, gap_s = _lambda_min_and_gap(sequential(5), 59, 1500)
+    assert ks_2samp(lam_e, lam_s).pvalue > 0.001
+    assert ks_2samp(gap_e, gap_s).pvalue > 0.001
+
+
+def test_dpp_hermite_m1_is_gaussian():
+    b = make_basis("hermite", 1)
+    rng = replicate_stream(60, 0)
+    xs = np.array([sample_dpp(b, rng).points[0] for _ in range(4_000)])
+    assert kstest(xs, oracles.gaussian_cdf).pvalue > 0.001
+
+
+def test_dpp_hermite_coordinates_exchangeable():
+    b = make_basis("hermite", 5)
+    rng = replicate_stream(61, 0)
+    pts = np.array([sample_dpp(b, rng).points for _ in range(4_000)])
+    assert ks_2samp(pts[:, 0], pts[:, -1]).pvalue > 0.001
+
+
+def test_dpp_legendre_on_shifted_interval():
+    b = LegendreBasis(3, UniformInterval(0.0, 2.0))
+    rng = replicate_stream(62, 0)
+    xs = np.concatenate([sample_dpp(b, rng).points for _ in range(3_000)])
+    assert np.all((xs >= 0.0) & (xs <= 2.0))
+    cdf = oracles.christoffel_cdf("legendre", 3)
+    assert kstest(xs - 1.0, cdf).pvalue > 0.001
+
+
+def test_dpp_pwc_one_point_per_cell_on_shifted_interval():
+    b = make_basis("pwc", 5, UniformInterval(-3.0, 4.0))
+    for rep in range(200):
+        d = sample_dpp(b, replicate_stream(63, rep))
+        assert sorted(b.cell_index(d.points)) == [0, 1, 2, 3, 4]
 
 
 def test_dpp_weights_are_christoffel_values():
