@@ -18,10 +18,9 @@ from .errors import (ConditioningFailureError, DegeneratePointError,
                      UnsupportedOrderError, ValidationError)
 from .measures import (GridDensitySampler, QuadratureRule, ReferenceMeasure,
                        StandardGaussian, UniformInterval,
-                       build_density_sampler, gauss_quadrature, max_quad_order)
+                       build_density_sampler, max_quad_order)
 from .bases import (FeatureBasis, HermiteBasis, LegendreBasis,
-                    PiecewiseConstantBasis, RotatedBasisState,
-                    christoffel_density, empty_rotation, eval_features,
+                    PiecewiseConstantBasis, RotatedBasisState, empty_rotation,
                     extend_rotation, make_basis, residual_feature_norm)
 from .samplers import (ChristoffelWeight, DesignSample, MixtureWeight,
                        SCHEMES, UnitWeight, WeightFunction, draw_design,

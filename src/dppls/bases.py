@@ -136,18 +136,6 @@ class PiecewiseConstantBasis(FeatureBasis):
         return out
 
 
-def eval_features(basis, x):
-    """phi(x) as a length-m vector."""
-    return basis.eval_features(x)
-
-
-def christoffel_density(basis, x):
-    """Inverse Christoffel density w_m(x) = ||phi(x)||^2 / m."""
-    x = np.asarray(x, dtype=float)
-    w = basis.christoffel(x)
-    return float(w[0]) if x.ndim == 0 else w
-
-
 @dataclass(frozen=True)
 class RotatedBasisState:
     """Orthonormal frame v_1..v_k of the subspace W_k spanned by the

@@ -143,52 +143,51 @@ def _cell_key(m, n, scheme):
     return (int(m), int(n), SCHEMES.index(scheme))
 
 
-def _run_chunk(task):
-    """Execute replicates [start, stop) of one experiment cell.
+def _stability_replicate(config, m, n, scheme, gen):
+    """(status, hit): whether lambda_min(G^w) >= 1 - delta on one draw."""
+    basis = _get_basis(config.basis_family, m)
+    try:
+        design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
+                             delta=config.delta, max_attempts=config.max_attempts)
+        lam = empirical_gram(design, basis).lambda_min
+        return "ok", 1.0 if lam >= 1.0 - config.delta else 0.0
+    except DpplsError:
+        return "failed", 0.0
 
-    Returns (cell, records); records carry the replicate index so the
-    aggregation can sort them independently of scheduling.
-    """
-    (kind, family, m, n, scheme, alpha, delta, max_attempts, target_id,
-     seed, start, stop) = task
-    basis = _get_basis(family, m)
-    cell = _cell_key(m, n, scheme)
-    records = []
-    for rep in range(start, stop):
-        gen = replicate_stream(seed, rep, *cell)
-        if kind == "stability":
-            try:
-                design = draw_design(scheme, basis, n, gen, alpha=alpha,
-                                     delta=delta, max_attempts=max_attempts)
-                lam = empirical_gram(design, basis).lambda_min
-                records.append((rep, "ok", 1.0 if lam >= 1.0 - delta else 0.0))
-            except DpplsError:
-                records.append((rep, "failed", 0.0))
-        elif kind == "error":
-            evaluator = _get_evaluator(family, m, target_id)
-            try:
-                design = draw_design(scheme, basis, n, gen, alpha=alpha,
-                                     delta=delta, max_attempts=max_attempts)
-                fvals = evaluator.f_values(design.points)
-                fit = weighted_lsq_fit(fvals, design, basis)
-                err = evaluator.rel_error(fit.coefficients)
-                if err > BLOWUP_CAP:
-                    records.append((rep, "capped", BLOWUP_CAP))
-                else:
-                    records.append((rep, "ok", err))
-            except SingularDesignError:
-                records.append((rep, "capped", BLOWUP_CAP))
-            except DpplsError:
-                records.append((rep, "failed", math.nan))
-        elif kind == "conjecture":
-            lam_dpp = empirical_gram(
-                draw_design("repeated-dpp", basis, basis.m, gen), basis).lambda_min
-            lam_iid = empirical_gram(
-                draw_design("iid-christoffel", basis, basis.m, gen), basis).lambda_min
-            records.append((rep, lam_dpp, lam_iid))
-        else:
-            raise ValidationError(f"unknown task kind {kind!r}")
-    return cell, records
+
+def _error_replicate(config, m, n, scheme, gen):
+    """(status, relative error) of one fit; singular and blown-up fits are
+    capped."""
+    basis = _get_basis(config.basis_family, m)
+    evaluator = _get_evaluator(config.basis_family, m, config.target_id)
+    try:
+        design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
+                             delta=config.delta, max_attempts=config.max_attempts)
+        fit = weighted_lsq_fit(evaluator.f_values(design.points), design, basis)
+        err = evaluator.rel_error(fit.coefficients)
+        return ("capped", BLOWUP_CAP) if err > BLOWUP_CAP else ("ok", err)
+    except SingularDesignError:
+        return "capped", BLOWUP_CAP
+    except DpplsError:
+        return "failed", math.nan
+
+
+def _conjecture_replicate(config, m, gen):
+    """lambda_min of an m-point projection draw, then of m i.i.d. nu_m
+    draws from the same stream."""
+    basis = _get_basis(config.basis_family, m)
+    lam_dpp = empirical_gram(
+        draw_design("repeated-dpp", basis, m, gen), basis).lambda_min
+    lam_iid = empirical_gram(
+        draw_design("iid-christoffel", basis, m, gen), basis).lambda_min
+    return lam_dpp, lam_iid
+
+
+def _run_chunk(task):
+    """Replicates [start, stop) of one job, in replicate order."""
+    fn, args, key, seed, start, stop = task
+    return [fn(*args, replicate_stream(seed, r, *key))
+            for r in range(start, stop)]
 
 
 def _chunk_ranges(replicates, workers):
@@ -219,22 +218,27 @@ def _worker_pool(workers):
         yield pool
 
 
-def _run_cells(kind, config, cells, pool):
-    """Run all (m, n, scheme) cells on `pool` (in this process when it is
-    None), returning {cell_key: sorted records}."""
-    tasks = []
-    for (m, n, scheme) in cells:
-        for (a, b) in _chunk_ranges(config.replicates, config.workers):
-            tasks.append((kind, config.basis_family, m, n, scheme,
-                          config.alpha, config.delta, config.max_attempts,
-                          config.target_id, config.seed, a, b))
-    out = {}
-    results = (map if pool is None else pool.map)(_run_chunk, tasks)
-    for cell, records in results:
-        out.setdefault(cell, []).extend(records)
-    for records in out.values():
-        records.sort(key=lambda r: r[0])
-    return out
+def _run_replicates(jobs, replicates, seed, workers, pool):
+    """Run every job (fn, args, key) on `pool` (in this process when it is
+    None). Returns, per job and in replicate order, the list
+    [fn(*args, replicate_stream(seed, r, *key)) for r < replicates].
+
+    Replicates are chunked by the requested worker count; pool.map keeps
+    task order, so the chunks of each job come back consecutively.
+    """
+    ranges = _chunk_ranges(replicates, workers)
+    tasks = [(fn, args, key, seed, a, b) for (fn, args, key) in jobs
+             for (a, b) in ranges]
+    chunks = (map if pool is None else pool.map)(_run_chunk, tasks)
+    return [[rec for _ in ranges for rec in next(chunks)] for _ in jobs]
+
+
+def _run_cells(fn, config, cells, pool):
+    """Per (m, n, scheme) cell, the config's replicates of
+    fn(config, m, n, scheme, stream)."""
+    jobs = [(fn, (config, m, n, s), _cell_key(m, n, s)) for (m, n, s) in cells]
+    return _run_replicates(jobs, config.replicates, config.seed,
+                           config.workers, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +291,12 @@ def stability_map(config, out=None):
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
     with _worker_pool(config.workers) as pool:
-        results = _run_cells("stability", config, cells, pool)
+        results = _run_cells(_stability_replicate, config, cells, pool)
     header = ["m", "n", "scheme", "p_hat", "replicates", "seed", "failures"]
     rows = []
-    for (m, n, s) in cells:
-        records = results[_cell_key(m, n, s)]
-        hits = sum(ev for (_, status, ev) in records if status == "ok")
-        failures = sum(1 for (_, status, _) in records if status == "failed")
+    for (m, n, s), records in zip(cells, results):
+        hits = sum(ev for (status, ev) in records if status == "ok")
+        failures = sum(1 for (status, _) in records if status == "failed")
         rows.append([m, n, s, hits / config.replicates,
                      config.replicates, config.seed, failures])
     write_csv(out, header, rows)
@@ -317,7 +320,8 @@ def error_table(config, out=None):
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
     with _worker_pool(config.workers) as pool:
-        results = _run_cells("error", config, cells, pool)
+        results = _run_cells(_error_replicate, config, cells, pool)
+    results = dict(zip(cells, results))
     header = ["m", "n", "best"]
     for s in config.schemes:
         header += [f"{s}_rms", f"{s}_q95", f"{s}_capped", f"{s}_failures"]
@@ -328,10 +332,10 @@ def error_table(config, out=None):
         for n in config.n_for(m):
             row = [m, n, evaluator.best_rel_error]
             for s in config.schemes:
-                records = results[_cell_key(m, n, s)]
-                errs = [e for (_, status, e) in records if status in ("ok", "capped")]
-                capped = sum(1 for (_, status, _) in records if status == "capped")
-                failures = sum(1 for (_, status, _) in records if status == "failed")
+                records = results[(m, n, s)]
+                errs = [e for (status, e) in records if status in ("ok", "capped")]
+                capped = sum(1 for (status, _) in records if status == "capped")
+                failures = sum(1 for (status, _) in records if status == "failed")
                 if errs:
                     rms = math.sqrt(float(np.mean(np.square(errs))))
                     q95 = _quantile95(errs)
@@ -350,12 +354,12 @@ def error_histogram(config, out=None):
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
     with _worker_pool(config.workers) as pool:
-        results = _run_cells("error", config, cells, pool)
+        results = _run_cells(_error_replicate, config, cells, pool)
     header = ["m", "n", "scheme", "replicate", "status",
               "rel_error", "log_rel_error"]
     rows = []
-    for (m, n, s) in cells:
-        for (rep, status, err) in results[_cell_key(m, n, s)]:
+    for (m, n, s), records in zip(cells, results):
+        for rep, (status, err) in enumerate(records):
             if status == "failed":
                 rows.append([m, n, s, rep, status, "", ""])
             else:
@@ -387,12 +391,11 @@ def conjecture_check(m, t_grid, replicates, seed, basis_family="legendre",
     config = ExperimentConfig(basis_family=basis_family, schemes=("repeated-dpp",),
                               m_values=(m,), n_values=(m,), replicates=replicates,
                               seed=seed, workers=workers)
+    job = (_conjecture_replicate, (config, m), _cell_key(m, m, "repeated-dpp"))
     with _worker_pool(config.workers) as pool:
-        records = _run_cells("conjecture", config, [(m, m, "repeated-dpp")],
-                             pool)
-    records = records[_cell_key(m, m, "repeated-dpp")]
-    lam_dpp = np.array([r[1] for r in records])
-    lam_iid = np.array([r[2] for r in records])
+        [records] = _run_replicates([job], config.replicates, config.seed,
+                                    config.workers, pool)
+    lam_dpp, lam_iid = np.array(records).T
 
     def tail(lams, t):
         # F > t  <=>  lambda_min < 1/t
@@ -444,9 +447,9 @@ def minimal_stable_n(basis_family, scheme, m, delta, replicates, seed,
                                       n_values=(n,), replicates=replicates,
                                       seed=seed, delta=delta, workers=workers,
                                       alpha=alpha)
-            results = _run_cells("stability", config, [(m, n, scheme)], pool)
-            records = results[_cell_key(m, n, scheme)]
-            hits = sum(ev for (_, status, ev) in records if status == "ok")
+            [records] = _run_cells(_stability_replicate, config,
+                                   [(m, n, scheme)], pool)
+            hits = sum(ev for (status, ev) in records if status == "ok")
             if hits / replicates >= 0.5:
                 return n
     return None

@@ -61,20 +61,22 @@ def weighted_lsq_fit(f_values, design, basis):
     over g in V_m.
 
     Solved through an orthogonal factorization of the row-scaled design
-    matrix with rows w(x_i)^{-1/2} phi(x_i)^T, not the normal equations;
-    the Gram matrix is still formed separately for the lambda_min
-    diagnostic.
+    matrix A with rows (n w(x_i))^{-1/2} phi(x_i)^T, not the normal
+    equations. G^w = A^T A, so lambda_min = sigma_min(A)^2 comes from the
+    same factorization; it is 0 when n < m.
     """
     f_values = np.asarray(f_values, dtype=float)
     if f_values.shape != (design.n,):
         raise ValidationError("f_values length must match the design size")
-    gram = empirical_gram(design, basis)
-    if gram.lambda_min <= SINGULARITY_THRESHOLD:
-        raise SingularDesignError(gram.lambda_min)
     scale = 1.0 / np.sqrt(design.n * design.weights)
     A = basis.feature_matrix(design.points) * scale[:, None]
-    coef, *_ = np.linalg.lstsq(A, f_values * scale, rcond=None)
-    return LsqFit(coef, gram.lambda_min, design.n, basis.m,
+    if not np.isfinite(A).all():
+        raise NumericError("non-finite feature or weight values")
+    coef, _, _, sigma = np.linalg.lstsq(A, f_values * scale, rcond=None)
+    lam = float(sigma[-1]) ** 2 if design.n >= basis.m else 0.0
+    if lam <= SINGULARITY_THRESHOLD:
+        raise SingularDesignError(lam)
+    return LsqFit(coef, lam, design.n, basis.m,
                   design.sampler_id, design.attempts)
 
 

@@ -205,21 +205,6 @@ def _gauss_hermite_prob(order):
     return _hermite_prob_cached(_check_order(order))
 
 
-def density(measure, x):
-    """Lebesgue density of the measure at x (0 outside support)."""
-    return measure.density(x)
-
-
-def sample_iid(measure, rng, n):
-    """n i.i.d. draws from the measure using the given RNG stream."""
-    return measure.sample(rng, n)
-
-
-def gauss_quadrature(measure, order):
-    """Gauss rule of the given order for the measure, weights summing to 1."""
-    return measure.gauss_quadrature(order)
-
-
 class GridDensitySampler:
     """Inverse-CDF sampler for a density g with respect to a reference
     measure, tabulated on a grid.

@@ -13,7 +13,6 @@ are tabulated on a grid and so are grid-approximate.
 """
 
 import math
-import weakref
 
 import numpy as np
 from dataclasses import dataclass, replace
@@ -66,45 +65,24 @@ class ChristoffelWeight(WeightFunction):
 
 
 class MixtureWeight(WeightFunction):
-    """w = alpha w_m + (1 - alpha) h for a pluggable density h w.r.t. mu.
-
-    The shipped default is h = 1. A custom h needs a matching sampler
-    callable(measure, rng) -> float; its mass is certified on first use.
-    """
+    """w = alpha w_m + (1 - alpha): the mixture alpha nu_m + (1 - alpha) mu."""
 
     kind = "mixture"
 
-    def __init__(self, alpha, h=None, h_sampler=None):
+    def __init__(self, alpha):
         alpha = float(alpha)
         if not 0.0 < alpha <= 1.0:
             raise ValidationError(f"mixture weight needs alpha in (0, 1], got {alpha}")
         self.alpha = alpha
-        self.h = h if h is not None else (lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        self._h_sampler = h_sampler
-        # an entry dies with its basis, so a later basis allocated at the
-        # same address never finds a sampler built for another measure
-        self._h_grid_samplers = weakref.WeakKeyDictionary()
 
     def evaluate(self, basis, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return self.alpha * basis.christoffel(xs) + (1.0 - self.alpha) * self.h(xs)
-
-    def sample_h(self, basis, rng):
-        """One draw from h mu."""
-        if self._h_sampler is not None:
-            return self._h_sampler(basis.measure, rng)
-        sampler = self._h_grid_samplers.get(basis)
-        if sampler is None:
-            support = basis.measure.effective_support(basis.m)
-            sampler = build_density_sampler(self.h, basis.measure,
-                                            STATIC_MASS_TOL, support=support)
-            self._h_grid_samplers[basis] = sampler
-        return sampler.sample(rng)
+        return self.alpha * basis.christoffel(xs) + (1.0 - self.alpha)
 
 
 def make_weight(kind, alpha=1.0):
     """Weight function by name; 'christoffel' with alpha < 1 becomes the
-    mixture with h = 1."""
+    mixture alpha nu_m + (1 - alpha) mu."""
     if kind == "unit":
         return UnitWeight()
     if kind == "christoffel":
@@ -244,13 +222,13 @@ def sample_christoffel(basis, rng):
 
 
 def sample_mixture_point(w, basis, rng):
-    """Bernoulli(alpha) branch between nu_m and the mixture's h density."""
+    """Bernoulli(alpha) branch between nu_m and mu."""
     if w.kind != "mixture":
         raise ValidationError("sample_mixture_point needs a Mixture weight")
     gen, _ = as_rng(rng)
     if gen.random() < w.alpha:
         return sample_christoffel(basis, gen)
-    return w.sample_h(basis, gen)
+    return float(basis.measure.sample(gen, 1)[0])
 
 
 def _sample_from_weight(w, basis, rng):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dppls.bases import (christoffel_density, empty_rotation, eval_features,
-                         extend_rotation, make_basis, residual_feature_norm)
+from dppls.bases import (empty_rotation, extend_rotation, make_basis,
+                         residual_feature_norm)
 from dppls.errors import DegeneratePointError, ValidationError
-from dppls.measures import StandardGaussian, UniformInterval, gauss_quadrature
+from dppls.measures import StandardGaussian, UniformInterval
 
 import oracles
 
@@ -20,22 +20,22 @@ import oracles
 
 def test_hermite_values_at_zero():
     b = make_basis("hermite", 3)
-    assert eval_features(b, 0.0) == pytest.approx([1.0, 0.0, -1.0 / math.sqrt(2.0)], abs=1e-15)
+    assert b.eval_features(0.0) == pytest.approx([1.0, 0.0, -1.0 / math.sqrt(2.0)], abs=1e-15)
 
 
 def test_legendre_values_at_one():
     b = make_basis("legendre", 2)
-    assert eval_features(b, 1.0) == pytest.approx([1.0, math.sqrt(3.0)], rel=1e-14)
+    assert b.eval_features(1.0) == pytest.approx([1.0, math.sqrt(3.0)], rel=1e-14)
 
 
 def test_pwc_values_pick_owning_cell():
     b = make_basis("pwc", 4)
-    assert eval_features(b, 0.3).tolist() == [0.0, 2.0, 0.0, 0.0]
+    assert b.eval_features(0.3).tolist() == [0.0, 2.0, 0.0, 0.0]
 
 
 def test_pwc_last_cell_closed_at_one():
     b = make_basis("pwc", 4)
-    assert eval_features(b, 1.0).tolist() == [0.0, 0.0, 0.0, 2.0]
+    assert b.eval_features(1.0).tolist() == [0.0, 0.0, 0.0, 2.0]
 
 
 def test_hermite_closed_forms_small_degrees():
@@ -90,7 +90,7 @@ def test_family_measure_pairing_enforced():
 @pytest.mark.parametrize("m", [1, 2, 5, 17, 30])
 def test_quadrature_gram_is_identity(family, m):
     b = make_basis(family, m)
-    rule = gauss_quadrature(b.measure, m + 1)
+    rule = b.measure.gauss_quadrature(m + 1)
     feats = b.feature_matrix(rule.nodes)
     G = (feats * rule.weights[:, None]).T @ feats
     assert np.abs(G - np.eye(m)).max() < 1e-10
@@ -114,17 +114,17 @@ def test_christoffel_constant_for_m1():
     for family in ("legendre", "hermite", "pwc"):
         b = make_basis(family, 1)
         xs = [0.1, 0.4] if family == "pwc" else [-0.5, 0.0, 0.5]
-        assert christoffel_density(b, xs) == pytest.approx([1.0] * len(xs), abs=1e-14)
+        assert b.christoffel(xs) == pytest.approx([1.0] * len(xs), abs=1e-14)
 
 
 def test_christoffel_legendre_m2_at_zero():
     b = make_basis("legendre", 2)
-    assert christoffel_density(b, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert b.christoffel(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pwc_christoffel_is_flat():
     b = make_basis("pwc", 4)
-    assert christoffel_density(b, [0.1, 0.6, 0.99]) == pytest.approx([1.0] * 3, abs=0)
+    assert b.christoffel([0.1, 0.6, 0.99]) == pytest.approx([1.0] * 3, abs=0)
 
 
 @pytest.mark.parametrize("family,m", [
@@ -133,8 +133,8 @@ def test_pwc_christoffel_is_flat():
 ])
 def test_christoffel_integrates_to_one(family, m):
     b = make_basis(family, m)
-    rule = gauss_quadrature(b.measure, m + 1)
-    mass = rule.integrate(lambda x: christoffel_density(b, x))
+    rule = b.measure.gauss_quadrature(m + 1)
+    mass = rule.integrate(b.christoffel)
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -145,7 +145,7 @@ def test_residual_with_empty_state_is_feature_norm():
     b = make_basis("legendre", 4)
     state = empty_rotation(4)
     for x in (-0.7, 0.0, 0.2):
-        want = 4.0 * christoffel_density(b, x)
+        want = 4.0 * b.christoffel(x)
         assert residual_feature_norm(b, state, x) == pytest.approx(want, rel=1e-13)
 
 
@@ -164,7 +164,7 @@ def test_residual_zero_on_occupied_pwc_cell():
 def test_extend_from_empty_normalizes_features():
     b = make_basis("legendre", 3)
     state = extend_rotation(empty_rotation(3), b, 0.5)
-    phi = eval_features(b, 0.5)
+    phi = b.eval_features(0.5)
     assert state.k == 1
     assert np.allclose(state.vectors[0], phi / np.linalg.norm(phi), atol=1e-14)
 

@@ -16,6 +16,7 @@ from dppls.experiments import (BLOWUP_CAP, ExperimentConfig, conjecture_check,
                                dump_design, error_histogram, error_table,
                                format_point, minimal_stable_n, stability_map,
                                write_csv)
+from dppls.samplers import replicate_stream
 
 
 def _parse(path_or_text):
@@ -75,6 +76,26 @@ def test_config_canonicalizes_scheme_alias():
 def test_config_validation(kwargs):
     with pytest.raises(ValidationError):
         ExperimentConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# replicate runner
+
+def _shifted_draws(shift, gen):
+    return shift + gen.random(), int(gen.integers(1 << 30))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_replicate_runner_matches_plain_loop(workers):
+    """Per job, the runner returns fn(*args, stream) for every replicate in
+    order. 23 replicates split into uneven chunks, and the chunks of two
+    jobs must be regrouped without crossing."""
+    jobs = [(_shifted_draws, (0.0,), (4, 8, 1)), (_shifted_draws, (10.0,), (5,))]
+    want = [[_shifted_draws(*args, replicate_stream(17, r, *key))
+             for r in range(23)] for (_, args, key) in jobs]
+    with experiments._worker_pool(workers) as pool:
+        got = experiments._run_replicates(jobs, 23, 17, workers, pool)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

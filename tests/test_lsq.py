@@ -113,6 +113,25 @@ def test_fit_rejects_singular_design():
     assert info.value.lambda_min <= 1e-12
 
 
+@pytest.mark.parametrize("family", ["legendre", "hermite", "pwc"])
+@pytest.mark.parametrize("scheme", ["volume", "iid-christoffel"])
+def test_fit_lambda_min_is_gram_lambda_min(family, scheme):
+    """sigma_min^2 of the scaled design matrix is lambda_min(G^w)."""
+    b = make_basis(family, 5)
+    d = draw_design(scheme, b, 30, replicate_stream(76, len(family), len(scheme)))
+    fit = weighted_lsq_fit(np.cos(d.points), d, b)
+    assert fit.lambda_min == pytest.approx(empirical_gram(d, b).lambda_min,
+                                           rel=1e-12)
+
+
+def test_fit_with_fewer_points_than_features_is_singular():
+    b = make_basis("legendre", 4)
+    d = draw_design("iid-mu", b, 2, replicate_stream(77, 0))
+    with pytest.raises(SingularDesignError) as info:
+        weighted_lsq_fit(np.ones(2), d, b)
+    assert info.value.lambda_min == 0.0
+
+
 # ---------------------------------------------------------------------------
 # empirical seminorm
 

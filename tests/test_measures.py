@@ -9,8 +9,8 @@ from scipy.stats import ks_2samp, kstest
 from dppls.errors import (EmptyDesignError, NegativeDensityError,
                           NotADensityError, UnsupportedOrderError)
 from dppls.measures import (DEFAULT_MAX_QUAD_ORDER, StandardGaussian,
-                            UniformInterval, build_density_sampler, density,
-                            gauss_quadrature, max_quad_order, sample_iid)
+                            UniformInterval, build_density_sampler,
+                            max_quad_order)
 
 import oracles
 
@@ -22,15 +22,15 @@ GAUSSIAN = StandardGaussian()
 # densities
 
 def test_uniform_density_inside_support():
-    assert density(UNIFORM, 0.0) == 0.5
+    assert UNIFORM.density(0.0) == 0.5
 
 
 def test_uniform_density_outside_support():
-    assert density(UNIFORM, 2.0) == 0.0
+    assert UNIFORM.density(2.0) == 0.0
 
 
 def test_gaussian_density_at_zero():
-    assert density(GAUSSIAN, 0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+    assert GAUSSIAN.density(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -38,51 +38,51 @@ def test_gaussian_density_at_zero():
 
 def test_uniform_sample_mean():
     rng = np.random.default_rng(7)
-    xs = sample_iid(UNIFORM, rng, 10_000)
+    xs = UNIFORM.sample(rng, 10_000)
     sigma = math.sqrt(1.0 / 3.0)
     assert abs(xs.mean()) < 3.0 * sigma / math.sqrt(10_000)
 
 
 def test_gaussian_sample_variance():
     rng = np.random.default_rng(7)
-    xs = sample_iid(GAUSSIAN, rng, 10_000)
+    xs = GAUSSIAN.sample(rng, 10_000)
     assert xs.var() == pytest.approx(1.0, rel=0.05)
 
 
 def test_sample_iid_deterministic():
-    a = sample_iid(UNIFORM, np.random.default_rng(123), 50)
-    b = sample_iid(UNIFORM, np.random.default_rng(123), 50)
+    a = UNIFORM.sample(np.random.default_rng(123), 50)
+    b = UNIFORM.sample(np.random.default_rng(123), 50)
     assert np.array_equal(a, b)
 
 
 def test_sample_iid_rejects_empty():
     with pytest.raises(EmptyDesignError):
-        sample_iid(UNIFORM, np.random.default_rng(0), 0)
+        UNIFORM.sample(np.random.default_rng(0), 0)
 
 
 # ---------------------------------------------------------------------------
 # Gauss rules
 
 def test_gaussian_order_one_rule():
-    rule = gauss_quadrature(GAUSSIAN, 1)
+    rule = GAUSSIAN.gauss_quadrature(1)
     assert rule.nodes.tolist() == [0.0]
     assert rule.weights.tolist() == [1.0]
 
 
 def test_gaussian_second_moment_exact():
-    rule = gauss_quadrature(GAUSSIAN, 2)
+    rule = GAUSSIAN.gauss_quadrature(2)
     assert rule.integrate(lambda x: x * x) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_uniform_second_moment_exact():
-    rule = gauss_quadrature(UNIFORM, 2)
+    rule = UNIFORM.gauss_quadrature(2)
     assert rule.integrate(lambda x: x * x) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 12, 40])
 def test_rule_weights_sum_to_one(order):
     for measure in (UNIFORM, GAUSSIAN):
-        rule = gauss_quadrature(measure, order)
+        rule = measure.gauss_quadrature(order)
         assert abs(rule.weights.sum() - 1.0) < 1e-12
 
 
@@ -107,7 +107,7 @@ def test_monomial_exactness_up_to_degree(order):
     so the tolerance scales with that magnitude, not with the result.
     """
     for measure, moment in ((UNIFORM, _uniform_moment), (GAUSSIAN, _gaussian_moment)):
-        rule = gauss_quadrature(measure, order)
+        rule = measure.gauss_quadrature(order)
         for k in range(2 * order):
             got = rule.integrate(lambda x, k=k: x ** k)
             scale = rule.integrate(lambda x, k=k: np.abs(x) ** k)
@@ -137,7 +137,7 @@ def test_weights_accurate_relative_to_themselves(kind, order):
         want_x = np.array([float(x) for x in xs])
         want_w = np.array([float(w) for w in ws])
     order_by = np.argsort(want_x)
-    rule = gauss_quadrature(measure, order)
+    rule = measure.gauss_quadrature(order)
     assert rule.nodes == pytest.approx(want_x[order_by], abs=1e-12)
     assert rule.weights == pytest.approx(want_w[order_by], rel=1e-10, abs=0)
 
@@ -145,7 +145,7 @@ def test_weights_accurate_relative_to_themselves(kind, order):
 def test_high_order_weights_are_a_probability_vector(monkeypatch):
     monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "2048")
     for measure in (UNIFORM, GAUSSIAN):
-        w = gauss_quadrature(measure, 2048).weights
+        w = measure.gauss_quadrature(2048).weights
         assert np.all(np.isfinite(w))
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) < 1e-12
@@ -153,13 +153,13 @@ def test_high_order_weights_are_a_probability_vector(monkeypatch):
 
 def test_order_above_cap_rejected():
     with pytest.raises(UnsupportedOrderError):
-        gauss_quadrature(UNIFORM, DEFAULT_MAX_QUAD_ORDER + 1)
+        UNIFORM.gauss_quadrature(DEFAULT_MAX_QUAD_ORDER + 1)
 
 
 def test_order_cap_env_override(monkeypatch):
     monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "700")
     assert max_quad_order() == 700
-    rule = gauss_quadrature(UNIFORM, 600)
+    rule = UNIFORM.gauss_quadrature(600)
     assert rule.order == 600
     monkeypatch.delenv("DPPLS_MAX_QUAD_ORDER")
     assert max_quad_order() == DEFAULT_MAX_QUAD_ORDER
@@ -200,7 +200,7 @@ def test_flat_density_indistinguishable_from_iid():
     sampler = build_density_sampler(lambda x: np.ones_like(x), UNIFORM, 1e-8)
     rng = np.random.default_rng(13)
     grid_draws = np.array([sampler.sample(rng) for _ in range(10_000)])
-    direct = sample_iid(UNIFORM, np.random.default_rng(14), 10_000)
+    direct = UNIFORM.sample(np.random.default_rng(14), 10_000)
     assert ks_2samp(grid_draws, direct).pvalue > 0.001
 
 

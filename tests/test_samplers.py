@@ -9,7 +9,7 @@ from dppls.bases import HermiteBasis, LegendreBasis, make_basis
 from dppls.errors import (ConditioningFailureError, EmptyDesignError,
                           UnderdeterminedDesignError, ValidationError)
 from dppls.lsq import empirical_gram
-from dppls.measures import UniformInterval, gauss_quadrature
+from dppls.measures import UniformInterval
 from dppls.samplers import (SCHEMES, MixtureWeight, _sample_dpp_sequential,
                             canonical_scheme, draw_design, make_weight,
                             replicate_stream, sample_christoffel,
@@ -81,7 +81,7 @@ def test_unknown_weight_kind():
 def test_mixture_weight_has_unit_mass(alpha):
     b = make_basis("legendre", 4)
     w = make_weight("mixture", alpha=alpha)
-    rule = gauss_quadrature(b.measure, b.m + 1)
+    rule = b.measure.gauss_quadrature(b.m + 1)
     mass = rule.integrate(lambda x: w.evaluate(b, x))
     assert mass == pytest.approx(1.0, abs=1e-8)
 
