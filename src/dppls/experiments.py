@@ -191,10 +191,12 @@ def _run_chunk(task):
 
 
 def _chunk_ranges(replicates, workers):
-    """Contiguous replicate ranges, a few per worker for load balance."""
+    """Contiguous replicate ranges, one per requested worker. A driver
+    hands the pool every job's ranges at once, so load still balances
+    across its jobs."""
     if workers <= 1:
         return [(0, replicates)]
-    size = max(1, math.ceil(replicates / (workers * 4)))
+    size = max(1, math.ceil(replicates / workers))
     return [(a, min(a + size, replicates)) for a in range(0, replicates, size)]
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (EmptyDesignError, NegativeDensityError, NotADensityError,
@@ -244,30 +244,24 @@ class GridDensitySampler:
         self.cum = cum
 
         positive = masses > 0
-        # maximal runs of consecutive positive-mass cells
+        # maximal runs of consecutive positive-mass cells, each with its
+        # own monotone cubic; a run ends at the CDF value where the next
+        # begins, so the cubics join into one inverse on [0, 1]
         starts = np.flatnonzero(positive & ~np.concatenate(([False], positive[:-1])))
         ends = np.flatnonzero(positive & ~np.concatenate((positive[1:], [False])))
-        self._run_u_lo = cum[starts]
-        self._run_u_hi = cum[ends + 1]
-        self._inverses = [
-            PchipInterpolator(cum[s:e + 2], nodes[s:e + 2], extrapolate=False)
-            for s, e in zip(starts, ends)
-        ]
+        runs = [PchipInterpolator(cum[s:e + 2], nodes[s:e + 2])
+                for s, e in zip(starts, ends)]
+        self._inverse = PPoly(np.concatenate([r.c for r in runs], axis=1),
+                              np.concatenate([runs[0].x] + [r.x[1:] for r in runs[1:]]),
+                              extrapolate=False)
         self._forward = None
 
     def sample(self, rng, n=None):
-        """Draw n samples (or one scalar if n is None) through the inverse CDF."""
+        """Draw n samples (or one scalar if n is None) through the inverse
+        CDF, one uniform per sample."""
         scalar = n is None
         u = rng.random(1 if scalar else n)
-        run = np.searchsorted(self._run_u_lo, u, side="right") - 1
-        run = np.clip(run, 0, len(self._inverses) - 1)
-        out = np.empty_like(u)
-        for r in np.unique(run):
-            sel = run == r
-            ur = np.clip(u[sel], self._run_u_lo[r], self._run_u_hi[r])
-            out[sel] = self._inverses[r](ur)
-        lo, hi = self.nodes[0], self.nodes[-1]
-        out = np.clip(out, lo, hi)
+        out = np.clip(self._inverse(u), self.nodes[0], self.nodes[-1])
         return float(out[0]) if scalar else out
 
     def cdf(self, x):

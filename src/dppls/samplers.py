@@ -4,6 +4,12 @@ the projection DPP gamma_m, generalized volume sampling gamma_n^nu,
 repeated DPP designs, and rejection sampling conditioned on the stability
 event lambda_min(G^w) >= 1 - delta.
 
+nu_m is drawn through one inverse CDF per basis, tabulated on the grid of
+the basis's `_Tabulation` and built once: a design's i.i.d. nu_m points
+come from one batched call, with one uniform per point. The same sampler
+serves i.i.d. Christoffel designs, the extra points of volume designs,
+the nu_m branch of mixtures and the first point of a sequential DPP draw.
+
 gamma_m has two samplers. For exactly the shipped bases (HermiteBasis,
 LegendreBasis, PiecewiseConstantBasis) it is a beta = 2 orthogonal
 polynomial ensemble, or one uniform point per cell, and is drawn exactly
@@ -23,7 +29,10 @@ from .bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
 from .errors import (ConditioningFailureError, DegeneratePointError,
                      EmptyDesignError, SamplerFailureError,
                      UnderdeterminedDesignError, ValidationError)
-from .measures import GridDensitySampler, build_density_sampler, refined_grid
+# build_density_sampler is unused here but stays importable: the benchmark's
+# tracer wraps it, with the other grid builders, under this module
+from .measures import (_GL_W, _GL_X, GridDensitySampler,  # noqa: F401
+                       build_density_sampler, refined_grid)
 
 # mass tolerance for the data-dependent DPP conditional densities; looser
 # than the 1e-8 used for static densities because the integrand changes at
@@ -144,7 +153,9 @@ def replicate_stream(seed, replicate, *key):
 
 class _Tabulation:
     """Fixed grid with per-cell Gauss points, feature values and feature
-    norms, precomputed once per basis. Conditional DPP densities are then
+    norms, precomputed once per basis, and the inverse-CDF sampler of
+    nu_m = w_m mu on that grid. nu_m has the density norms2 / m, so its
+    cell masses come from the same table; conditional DPP densities are
     tabulated with one matrix-vector product per step."""
 
     def __init__(self, basis):
@@ -159,7 +170,6 @@ class _Tabulation:
         lo, hi = self.nodes[:-1], self.nodes[1:]
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        from .measures import _GL_W, _GL_X  # same cell rule as the grid builder
         gx = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
         gw = (np.broadcast_to(_GL_W, (half.size, _GL_W.size)) * half[:, None]).ravel()
         self.gauss_x = gx
@@ -167,6 +177,8 @@ class _Tabulation:
         self.feat = basis.feature_matrix(gx)
         self.norms2 = (self.feat * self.feat).sum(axis=1)
         self._n_cells = half.size
+        self.nu = GridDensitySampler(self.nodes, self.cell_masses(self.norms2) / m,
+                                     STATIC_MASS_TOL)
 
     def cell_masses(self, values):
         """Integrate a density (tabulated at the Gauss points) per cell."""
@@ -181,63 +193,40 @@ def _tabulation(basis):
     return tab
 
 
-def _feature_samplers(basis):
-    """One GridDensitySampler per density phi_i^2 mu (lazy, cached)."""
-    samplers = getattr(basis, "_dppls_feature_samplers", None)
-    if samplers is None:
-        support = basis.measure.effective_support(basis.m)
-        breaks = basis.cell_edges() if isinstance(basis, PiecewiseConstantBasis) else None
-        samplers = []
-        for i in range(basis.m):
-            g = _FeatureSquared(basis, i)
-            samplers.append(build_density_sampler(
-                g, basis.measure, STATIC_MASS_TOL,
-                support=support, breakpoints=breaks))
-        basis._dppls_feature_samplers = samplers
-    return samplers
-
-
-class _FeatureSquared:
-    """phi_i(x)^2 as a plain callable (picklable, unlike a lambda)."""
-
-    def __init__(self, basis, i):
-        self.basis = basis
-        self.i = i
-
-    def __call__(self, x):
-        return self.basis.feature_matrix(np.asarray(x, dtype=float))[:, self.i] ** 2
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
-def sample_christoffel(basis, rng):
-    """One draw from nu_m = w_m mu, realized as the uniform mixture of the
-    densities phi_i^2 mu: pick a feature index uniformly, then invert the
-    CDF of that single density."""
+def sample_christoffel(basis, rng, n=None):
+    """Draws from nu_m = w_m mu through the basis's one tabulated inverse
+    CDF: a float when n is None, else an array of n draws. Each draw takes
+    one uniform, so n single draws from a stream equal one n-draw."""
     gen, _ = as_rng(rng)
-    samplers = _feature_samplers(basis)
-    i = int(gen.integers(basis.m))
-    return samplers[i].sample(gen)
+    return _tabulation(basis).nu.sample(gen, n)
 
 
 def sample_mixture_point(w, basis, rng):
-    """Bernoulli(alpha) branch between nu_m and mu."""
+    """One draw from the mixture alpha nu_m + (1 - alpha) mu."""
     if w.kind != "mixture":
         raise ValidationError("sample_mixture_point needs a Mixture weight")
     gen, _ = as_rng(rng)
-    if gen.random() < w.alpha:
-        return sample_christoffel(basis, gen)
-    return float(basis.measure.sample(gen, 1)[0])
+    return float(_sample_from_weight(w, basis, gen, 1)[0])
 
 
-def _sample_from_weight(w, basis, rng):
-    """One draw from nu = w mu."""
+def _sample_from_weight(w, basis, gen, n):
+    """n i.i.d. draws from nu = w mu. The mixture takes n branch uniforms,
+    then draws its nu_m block and its mu block."""
+    if n == 0:
+        return np.empty(0)
     if w.kind == "unit":
-        return float(basis.measure.sample(rng, 1)[0])
+        return basis.measure.sample(gen, n)
     if w.kind == "christoffel":
-        return sample_christoffel(basis, rng)
-    return sample_mixture_point(w, basis, rng)
+        return sample_christoffel(basis, gen, n)
+    pick = gen.random(n) < w.alpha
+    k = int(pick.sum())
+    pts = np.empty(n)
+    pts[pick] = _sample_from_weight(ChristoffelWeight(), basis, gen, k)
+    pts[~pick] = _sample_from_weight(UnitWeight(), basis, gen, n - k)
+    return pts
 
 
 def _hermite_ensemble(basis, gen):
@@ -358,7 +347,7 @@ def sample_volume(basis, w, n, rng):
     if n < m:
         raise UnderdeterminedDesignError(f"volume sampling needs n >= m, got n={n}, m={m}")
     core = sample_dpp(basis, gen).points
-    extra = np.array([_sample_from_weight(w, basis, gen) for _ in range(n - m)])
+    extra = _sample_from_weight(w, basis, gen, n - m)
     pts = np.concatenate((core, extra))[gen.permutation(n)]
     return DesignSample(pts, w.evaluate(basis, pts), "volume", seed)
 
@@ -434,12 +423,10 @@ def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=0.75,
     if n < 1:
         raise EmptyDesignError("need n >= 1")
 
-    if scheme == "iid-mu":
-        pts = basis.measure.sample(gen, n)
-        design = DesignSample(pts, np.ones(n), "iid-mu", seed)
-    elif scheme == "iid-christoffel":
-        pts = np.array([sample_christoffel(basis, gen) for _ in range(n)])
-        design = DesignSample(pts, basis.christoffel(pts), "iid-christoffel", seed)
+    if scheme in ("iid-mu", "iid-christoffel"):
+        w = scheme_weight(scheme)
+        pts = _sample_from_weight(w, basis, gen, n)
+        design = DesignSample(pts, w.evaluate(basis, pts), scheme, seed)
     elif scheme == "volume":
         w = scheme_weight("volume", alpha)
         design = replace(sample_volume(basis, w, n, gen), seed=seed)

@@ -11,6 +11,7 @@ from dppls.errors import (ConditioningFailureError, EmptyDesignError,
 from dppls.lsq import empirical_gram
 from dppls.measures import UniformInterval
 from dppls.samplers import (SCHEMES, MixtureWeight, _sample_dpp_sequential,
+                            _sample_from_weight,
                             canonical_scheme, draw_design, make_weight,
                             replicate_stream, sample_christoffel,
                             sample_conditioned, sample_dpp,
@@ -110,16 +111,47 @@ def test_christoffel_draws_match_quadrature_cdf():
 
 def test_christoffel_m1_is_mu():
     b = make_basis("legendre", 1)
-    rng = replicate_stream(22, 0)
-    xs = np.array([sample_christoffel(b, rng) for _ in range(5_000)])
+    xs = sample_christoffel(b, replicate_stream(22, 0), 5_000)
     assert kstest(xs, oracles.uniform_cdf).pvalue > 0.001
 
 
 def test_christoffel_pwc_is_mu():
     b = make_basis("pwc", 4)
-    rng = replicate_stream(23, 0)
-    xs = np.array([sample_christoffel(b, rng) for _ in range(5_000)])
+    xs = sample_christoffel(b, replicate_stream(23, 0), 5_000)
     assert kstest(xs, lambda q: oracles.uniform_cdf(q, 0.0, 1.0)).pvalue > 0.001
+
+
+@pytest.mark.parametrize("family, m", [("hermite", 7), ("legendre", 7),
+                                       ("pwc", 5)])
+def test_christoffel_single_draws_equal_one_batch(family, m):
+    """One uniform per point: n single draws from a stream are the n-draw
+    from the same stream, bit for bit."""
+    b = make_basis(family, m)
+    rng = replicate_stream(64, 0)
+    single = [sample_christoffel(b, rng) for _ in range(257)]
+    assert all(isinstance(x, float) for x in single)
+    batch = sample_christoffel(b, replicate_stream(64, 0), 257)
+    assert np.array_equal(np.array(single), batch)
+
+
+@pytest.mark.parametrize("family, m", [("hermite", 10), ("hermite", 50),
+                                       ("legendre", 20)])
+def test_christoffel_batch_matches_quadrature_cdf(family, m):
+    xs = sample_christoffel(make_basis(family, m), replicate_stream(65, m),
+                            200_000)
+    assert kstest(xs, oracles.christoffel_cdf(family, m)).pvalue > 0.001
+
+
+@pytest.mark.parametrize("family, m", [("hermite", 10), ("hermite", 50),
+                                       ("legendre", 20)])
+def test_christoffel_batch_matches_dpp_marginal(family, m):
+    """Grid-free reference: the one-point marginal of gamma_m is nu_m, and
+    sample_dpp returns its exact matrix-model points in uniformly random
+    order, so the first point is a nu_m draw."""
+    xs = sample_christoffel(make_basis(family, m), replicate_stream(66, m),
+                            20_000)
+    ref = mc.dpp_first_coords(family, m, 20_000, seed=67)
+    assert ks_2samp(xs, ref).pvalue > 0.001
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +403,14 @@ def test_mixture_tiny_alpha_close_to_mu():
     rng = replicate_stream(48, 0)
     xs = np.array([sample_mixture_point(w, b, rng) for _ in range(10_000)])
     assert kstest(xs, oracles.uniform_cdf).statistic < 0.02
+
+
+def test_mixture_batch_cdf():
+    """The batched mixture: branch uniforms, then a nu_m and a mu block."""
+    b = make_basis("legendre", 6)
+    xs = _sample_from_weight(MixtureWeight(0.3), b, replicate_stream(68, 0),
+                             200_000)
+    assert kstest(xs, oracles.mixture_cdf("legendre", 6, 0.3)).pvalue > 0.001
 
 
 def test_mixture_half_alpha_cdf():
