@@ -157,10 +157,10 @@ def _stability_replicate(config, m, n, scheme, gen):
 
 def _error_replicate(config, m, n, scheme, gen):
     """(status, relative error) of one fit; singular and blown-up fits are
-    capped."""
+    capped, and a failed draw or evaluator counts as a failure."""
     basis = _get_basis(config.basis_family, m)
-    evaluator = _get_evaluator(config.basis_family, m, config.target_id)
     try:
+        evaluator = _get_evaluator(config.basis_family, m, config.target_id)
         design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
                              delta=config.delta, max_attempts=config.max_attempts)
         fit = weighted_lsq_fit(evaluator.f_values(design.points), design, basis)
@@ -317,7 +317,8 @@ def error_table(config, out=None):
     95% empirical quantile over replicates.
 
     Singular and blown-up fits are capped at 1e15 and counted; sampler
-    failures are counted separately and excluded from the statistics.
+    and evaluator failures are counted separately and excluded from the
+    statistics. An evaluator that cannot be built leaves best at NaN.
     """
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
@@ -330,9 +331,13 @@ def error_table(config, out=None):
     header += ["replicates", "seed"]
     rows = []
     for m in config.m_values:
-        evaluator = _get_evaluator(config.basis_family, m, config.target_id)
+        try:
+            best = _get_evaluator(config.basis_family, m,
+                                  config.target_id).best_rel_error
+        except DpplsError:
+            best = math.nan
         for n in config.n_for(m):
-            row = [m, n, evaluator.best_rel_error]
+            row = [m, n, best]
             for s in config.schemes:
                 records = results[(m, n, s)]
                 errs = [e for (status, e) in records if status in ("ok", "capped")]

@@ -18,7 +18,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .errors import (EmptyDesignError, NegativeDensityError, NotADensityError,
                      UnsupportedOrderError, ValidationError)
 
-DEFAULT_MAX_QUAD_ORDER = 512
+DEFAULT_MAX_QUAD_ORDER = 2048
 
 # fixed 4-point Gauss-Legendre rule used per grid cell when integrating
 # densities; exact on each cell for polynomials up to degree 7

@@ -4,18 +4,19 @@ the projection DPP gamma_m, generalized volume sampling gamma_n^nu,
 repeated DPP designs, and rejection sampling conditioned on the stability
 event lambda_min(G^w) >= 1 - delta.
 
-nu_m is drawn through one inverse CDF per basis, tabulated on the grid of
-the basis's `_Tabulation` and built once: a design's i.i.d. nu_m points
-come from one batched call, with one uniform per point. The same sampler
-serves i.i.d. Christoffel designs, the extra points of volume designs,
-the nu_m branch of mixtures and the first point of a sequential DPP draw.
+nu_m is drawn through one inverse CDF per basis, tabulated on a refined
+grid and built once: a design's i.i.d. nu_m points come from one batched
+call, with one uniform per point. The same sampler serves i.i.d.
+Christoffel designs, the extra points of volume designs, the nu_m branch
+of mixtures and the proposals of the sequential DPP sampler.
 
 gamma_m has two samplers. For exactly the shipped bases (HermiteBasis,
 LegendreBasis, PiecewiseConstantBasis) it is a beta = 2 orthogonal
 polynomial ensemble, or one uniform point per cell, and is drawn exactly
 from its random tridiagonal matrix model. Every other basis, subclasses
-included, goes through the sequential sampler, whose conditional densities
-are tabulated on a grid and so are grid-approximate.
+included, goes through the sequential sampler, which draws each
+conditional by rejection from nu_m and so is exact up to the nu_m
+tabulation.
 """
 
 import math
@@ -29,17 +30,19 @@ from .bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
 from .errors import (ConditioningFailureError, DegeneratePointError,
                      EmptyDesignError, SamplerFailureError,
                      UnderdeterminedDesignError, ValidationError)
-# build_density_sampler is unused here but stays importable: the benchmark's
-# tracer wraps it, with the other grid builders, under this module
-from .measures import (_GL_W, _GL_X, GridDensitySampler,  # noqa: F401
-                       build_density_sampler, refined_grid)
+# GridDensitySampler and refined_grid are unused here but stay importable:
+# the benchmark's tracer wraps them, with build_density_sampler, under this
+# module
+from .measures import (GridDensitySampler, build_density_sampler,  # noqa: F401
+                       refined_grid)
 
-# mass tolerance for the data-dependent DPP conditional densities; looser
-# than the 1e-8 used for static densities because the integrand changes at
-# every step
-CONDITIONAL_MASS_TOL = 1e-6
 STATIC_MASS_TOL = 1e-8
-MAX_LOCAL_RESAMPLES = 16
+# nu_m proposals per batch and per step of the sequential DPP sampler; step
+# k accepts a proposal with probability (m - k + 1) / m, so the last step
+# of an m-point draw exhausts the budget with probability about
+# exp(-budget / m)
+DPP_PROPOSAL_BATCH = 32
+DPP_PROPOSAL_BUDGET = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -149,48 +152,19 @@ def replicate_stream(seed, replicate, *key):
 
 
 # ---------------------------------------------------------------------------
-# per-basis tabulation shared by the Christoffel and DPP samplers
+# per-basis nu_m sampler shared by the Christoffel and DPP samplers
 
-class _Tabulation:
-    """Fixed grid with per-cell Gauss points, feature values and feature
-    norms, precomputed once per basis, and the inverse-CDF sampler of
-    nu_m = w_m mu on that grid. nu_m has the density norms2 / m, so its
-    cell masses come from the same table; conditional DPP densities are
-    tabulated with one matrix-vector product per step."""
-
-    def __init__(self, basis):
-        m = basis.m
-        measure = basis.measure
-        support = measure.effective_support(m)
+def _nu_sampler(basis):
+    """The inverse-CDF sampler of nu_m = w_m mu, built once per basis on a
+    grid refined against w_m."""
+    nu = getattr(basis, "_dppls_nu", None)
+    if nu is None:
         breaks = basis.cell_edges() if isinstance(basis, PiecewiseConstantBasis) else None
-        # refine against w_m so regions carrying Christoffel mass get
-        # resolution; conditional densities live under the same envelope
-        self.nodes, _ = refined_grid(basis.christoffel, measure,
-                                     support=support, breakpoints=breaks)
-        lo, hi = self.nodes[:-1], self.nodes[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        gx = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-        gw = (np.broadcast_to(_GL_W, (half.size, _GL_W.size)) * half[:, None]).ravel()
-        self.gauss_x = gx
-        self.gauss_w = gw * measure.density(gx)
-        self.feat = basis.feature_matrix(gx)
-        self.norms2 = (self.feat * self.feat).sum(axis=1)
-        self._n_cells = half.size
-        self.nu = GridDensitySampler(self.nodes, self.cell_masses(self.norms2) / m,
-                                     STATIC_MASS_TOL)
-
-    def cell_masses(self, values):
-        """Integrate a density (tabulated at the Gauss points) per cell."""
-        return (values * self.gauss_w).reshape(self._n_cells, 4).sum(axis=1)
-
-
-def _tabulation(basis):
-    tab = getattr(basis, "_dppls_tab", None)
-    if tab is None:
-        tab = _Tabulation(basis)
-        basis._dppls_tab = tab
-    return tab
+        nu = build_density_sampler(basis.christoffel, basis.measure, STATIC_MASS_TOL,
+                                   support=basis.measure.effective_support(basis.m),
+                                   breakpoints=breaks)
+        basis._dppls_nu = nu
+    return nu
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +175,7 @@ def sample_christoffel(basis, rng, n=None):
     CDF: a float when n is None, else an array of n draws. Each draw takes
     one uniform, so n single draws from a stream equal one n-draw."""
     gen, _ = as_rng(rng)
-    return _tabulation(basis).nu.sample(gen, n)
+    return _nu_sampler(basis).sample(gen, n)
 
 
 def sample_mixture_point(w, basis, rng):
@@ -287,7 +261,8 @@ def sample_dpp(basis, rng):
     draw is exact: the eigenvalues of the family's random tridiagonal
     matrix model (one uniform point per cell for piecewise constants), in
     a uniformly random order. Any other basis, subclasses included, uses
-    the grid-approximate sequential sampler `_sample_dpp_sequential`.
+    the sequential sampler `_sample_dpp_sequential`, which draws by
+    rejection from nu_m and is exact up to the nu_m tabulation.
     """
     ensemble = _EXACT_DPP.get(type(basis))
     if ensemble is None:
@@ -301,40 +276,44 @@ def sample_dpp(basis, rng):
 def _sample_dpp_sequential(basis, rng):
     """Draw of m points from the projection DPP gamma_m for any basis.
 
-    Sequential factorization: x_1 ~ nu_m, then x_k follows the conditional
-    density p_k(x) = ||phi(x) - P_{W_{k-1}} phi(x)||^2 / (m - k + 1) w.r.t.
-    mu, where W_{k-1} is the span of the features of the previous points.
-    The running residual is updated with one rotated basis vector per step.
-    Each conditional is sampled through its tabulation on a fixed grid, so
-    the draw is exact only up to that grid's resolution.
+    Chain rule: x_k follows the density
+    p_k(x) = ||phi(x) - P_{W_{k-1}} phi(x)||^2 / (m - k + 1) w.r.t. mu,
+    where W_{k-1} is the span of the features of the previous points.
+    p_k is at most m / (m - k + 1) times the density of nu_m, so x_k is
+    drawn by rejection: nu_m proposals, accepted with probability
+    ||phi(x) - P_{W_{k-1}} phi(x)||^2 / ||phi(x)||^2, about m H_m proposals
+    per draw. The draw is exact up to the nu_m tabulation. A step that
+    accepts no point within DPP_PROPOSAL_BUDGET proposals raises
+    SamplerFailureError.
     """
     gen, seed = as_rng(rng)
-    m = basis.m
-    tab = _tabulation(basis)
-
-    x1 = sample_christoffel(basis, gen)
-    state = extend_rotation(empty_rotation(m), basis, x1)
-    points = [x1]
-    resid2 = np.maximum(tab.norms2 - (tab.feat @ state.vectors[0]) ** 2, 0.0)
-
-    for k in range(2, m + 1):
-        masses = tab.cell_masses(resid2) / (m - k + 1)
-        step = GridDensitySampler(tab.nodes, masses, CONDITIONAL_MASS_TOL)
-        for _ in range(MAX_LOCAL_RESAMPLES):
-            x = step.sample(gen)
-            try:
-                state = extend_rotation(state, basis, x)
-            except DegeneratePointError:
-                continue
-            break
-        else:
-            raise SamplerFailureError(
-                f"{MAX_LOCAL_RESAMPLES} consecutive degenerate points at step {k}")
+    state = empty_rotation(basis.m)
+    points = []
+    for _ in range(basis.m):
+        x, state = _next_dpp_point(basis, state, gen)
         points.append(x)
-        resid2 = np.maximum(resid2 - (tab.feat @ state.vectors[-1]) ** 2, 0.0)
-
     pts = np.asarray(points)
     return DesignSample(pts, basis.christoffel(pts), "dpp", seed)
+
+
+def _next_dpp_point(basis, state, gen):
+    """One chain-rule step: the accepted point and the frame extended by
+    it. A point whose feature residual collapses is passed over."""
+    nu = _nu_sampler(basis)
+    for _ in range(DPP_PROPOSAL_BUDGET // DPP_PROPOSAL_BATCH):
+        xs = nu.sample(gen, DPP_PROPOSAL_BATCH)
+        u = gen.random(DPP_PROPOSAL_BATCH)
+        phi = basis.feature_matrix(xs)
+        norms2 = (phi * phi).sum(axis=1)
+        proj = phi @ state.vectors.T
+        resid2 = norms2 - (proj * proj).sum(axis=1)
+        for x in xs[u * norms2 < resid2].tolist():
+            try:
+                return x, extend_rotation(state, basis, x)
+            except DegeneratePointError:
+                pass
+    raise SamplerFailureError(
+        f"no point accepted in {DPP_PROPOSAL_BUDGET} proposals at step {state.k + 1}")
 
 
 def sample_volume(basis, w, n, rng):

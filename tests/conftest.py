@@ -21,13 +21,12 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def quad_cap_2048(monkeypatch):
-    """Raise the adaptive-quadrature order cap.
+    """Pin the adaptive-quadrature order cap at 2048.
 
     The Gaussian-measure error paths certify convergence by doubling the
     order until successive values agree to 1e-10; for the shipped target
-    that certification lands past the default cap of 512 even though the
-    values themselves stop moving much earlier. Tests exercising those
-    paths opt in to a 2048 cap, mirroring what the command line needs
-    (DPPLS_MAX_QUAD_ORDER=2048).
+    that certification lands at orders 800-1280, above 512 and below the
+    default cap of 2048. Tests exercising those paths pin the cap so that
+    a DPPLS_MAX_QUAD_ORDER set in the environment cannot change them.
     """
     monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "2048")

@@ -35,8 +35,9 @@ STOCHASTIC_SCHEMES = ("iid-christoffel", "volume", "repeated-dpp",
 
 @pytest.fixture(scope="module", autouse=True)
 def _gaussian_quadrature_headroom():
-    """The Gaussian-measure evaluators certify convergence around order
-    2000; the default cap of 512 exists for interactive safety."""
+    """The Gaussian-measure evaluators certify convergence at orders
+    800-1280; the cap is pinned at the default of 2048 so that the
+    environment cannot lower it."""
     os.environ["DPPLS_MAX_QUAD_ORDER"] = "2048"
     yield
     del os.environ["DPPLS_MAX_QUAD_ORDER"]

@@ -175,12 +175,23 @@ def test_conjecture_check_domain_exits_2(capsys):
     assert run(["conjecture-check", "--m", "4", "--replicates", "999"]) == 2
 
 
-def test_gaussian_quadrature_cap_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("DPPLS_MAX_QUAD_ORDER", raising=False)
-    argv = ["error-table", "--basis", "hermite", "--scheme", "volume",
-            "--m", "10", "--n", "20", "--replicates", "2",
-            "--out", str(tmp_path / "t.csv")]
-    assert run(argv) == 3
-    assert "numeric failure:" in capsys.readouterr().err
-    monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "2048")
+def test_gaussian_quadrature_cap_counts_failures(tmp_path, monkeypatch):
+    """Below the order that certifies the Hermite evaluator, every
+    replicate of the cell fails and best is NaN, but the table is written;
+    the default cap certifies it."""
+    monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "512")
+    out = tmp_path / "t.csv"
+    schemes = ["iid-mu", "volume"]
+    argv = ["error-table", "--basis", "hermite", "--scheme", *schemes,
+            "--m", "10", "--n", "20", "--replicates", "2", "--out", str(out)]
     assert run(argv) == 0
+    header, rows = rows_of(out)
+    row = dict(zip(header, rows[0]))
+    assert row["best"] == "nan"
+    assert [row[f"{s}_failures"] for s in schemes] == ["2", "2"]
+    monkeypatch.delenv("DPPLS_MAX_QUAD_ORDER")
+    assert run(argv) == 0
+    header, rows = rows_of(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["best"]) > 0.0
+    assert [row[f"{s}_failures"] for s in schemes] == ["0", "0"]

@@ -201,7 +201,7 @@ def test_hermite_target_norm_matches_closed_form(quad_cap_2048):
 
 
 def test_error_evaluator_rejects_default_cap_for_gaussian_target(monkeypatch):
-    monkeypatch.delenv("DPPLS_MAX_QUAD_ORDER", raising=False)
+    monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "512")
     with pytest.raises(QuadratureAccuracyError):
         ErrorEvaluator(INV_QUAD, make_basis("hermite", 10))
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from dppls.bases import HermiteBasis, LegendreBasis, make_basis
+from dppls.bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
+                         make_basis)
 from dppls.errors import (ConditioningFailureError, EmptyDesignError,
-                          UnderdeterminedDesignError, ValidationError)
+                          SamplerFailureError, UnderdeterminedDesignError,
+                          ValidationError)
 from dppls.lsq import empirical_gram
 from dppls.measures import UniformInterval
 from dppls.samplers import (SCHEMES, MixtureWeight, _sample_dpp_sequential,
@@ -157,11 +159,16 @@ def test_christoffel_batch_matches_dpp_marginal(family, m):
 # ---------------------------------------------------------------------------
 # projection DPP
 
+class _SeqPwc(PiecewiseConstantBasis):
+    pass
+
+
 def test_dpp_pwc_one_point_per_cell():
-    b = make_basis("pwc", 4)
-    for rep in range(200):
-        d = sample_dpp(b, replicate_stream(24, rep))
-        assert sorted(b.cell_index(d.points)) == [0, 1, 2, 3]
+    """The matrix-model draw and, through a subclass, the sequential one."""
+    for b in (make_basis("pwc", 4), _SeqPwc(4)):
+        for rep in range(200):
+            d = sample_dpp(b, replicate_stream(24, rep))
+            assert sorted(b.cell_index(d.points)) == [0, 1, 2, 3]
 
 
 def test_dpp_m1_is_christoffel_law():
@@ -196,6 +203,29 @@ class _SeqLegendre(LegendreBasis):
     pass
 
 
+class _RotatedLegendre(LegendreBasis):
+    """Features phi Q with Q a fixed orthogonal matrix: the same span V_m,
+    so the same gamma_m, with no feature ordered by degree."""
+
+    def __init__(self, m, measure=None):
+        super().__init__(m, measure)
+        gauss = np.random.default_rng(70).standard_normal((m, m))
+        self.rotation = np.linalg.qr(gauss)[0]
+
+    def feature_matrix(self, xs):
+        return super().feature_matrix(xs) @ self.rotation
+
+
+class _DuplicateFeature(LegendreBasis):
+    """Last feature a copy of the first: the features span only m - 1
+    dimensions, so no m-th point has a nonzero residual."""
+
+    def feature_matrix(self, xs):
+        phi = super().feature_matrix(xs)
+        phi[:, -1] = phi[:, 0]
+        return phi
+
+
 def test_dpp_subclass_takes_sequential_path():
     a = sample_dpp(_SeqHermite(4), replicate_stream(57, 0))
     b = _sample_dpp_sequential(HermiteBasis(4), replicate_stream(57, 0))
@@ -215,7 +245,8 @@ def _lambda_min_and_gap(basis, seed, total):
 
 
 @pytest.mark.parametrize("exact, sequential", [(HermiteBasis, _SeqHermite),
-                                               (LegendreBasis, _SeqLegendre)])
+                                               (LegendreBasis, _SeqLegendre),
+                                               (LegendreBasis, _RotatedLegendre)])
 def test_dpp_exact_matches_sequential_reference(exact, sequential):
     """Two routes to the same law: the matrix-model draw against the
     sequential sampler, on lambda_min(G) and on the smallest gap."""
@@ -223,6 +254,11 @@ def test_dpp_exact_matches_sequential_reference(exact, sequential):
     lam_s, gap_s = _lambda_min_and_gap(sequential(5), 59, 1500)
     assert ks_2samp(lam_e, lam_s).pvalue > 0.001
     assert ks_2samp(gap_e, gap_s).pvalue > 0.001
+
+
+def test_dpp_rank_deficient_basis_exhausts_proposal_budget():
+    with pytest.raises(SamplerFailureError, match="step 4"):
+        sample_dpp(_DuplicateFeature(4), replicate_stream(69, 0))
 
 
 def test_dpp_hermite_m1_is_gaussian():
