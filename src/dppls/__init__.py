@@ -21,15 +21,13 @@ from .measures import (GridDensitySampler, QuadratureRule, ReferenceMeasure,
                        build_density_sampler, max_quad_order)
 from .bases import (FeatureBasis, HermiteBasis, LegendreBasis,
                     PiecewiseConstantBasis, RotatedBasisState, empty_rotation,
-                    extend_rotation, make_basis, residual_feature_norm)
-from .samplers import (ChristoffelWeight, DesignSample, MixtureWeight,
-                       SCHEMES, UnitWeight, WeightFunction, draw_design,
-                       make_weight, replicate_stream, sample_christoffel,
-                       sample_conditioned, sample_dpp, sample_mixture_point,
-                       sample_repeated_dpp, sample_volume, scheme_weight)
+                    extend_rotation, make_basis)
+from .samplers import (DesignSample, SCHEMES, Weight, draw_design, make_weight,
+                       replicate_stream, sample_christoffel,
+                       sample_conditioned, sample_dpp, sample_repeated_dpp,
+                       sample_volume, scheme_weight)
 from .lsq import (EmpiricalGram, ErrorEvaluator, LsqFit, averaged_estimator,
-                  best_approximation, empirical_gram, empirical_seminorm,
-                  l2_error, weighted_lsq_fit)
+                  empirical_gram, empirical_seminorm, weighted_lsq_fit)
 from .bounds import (ChernoffConstants, TheoryBound, chernoff_constants,
                      dpp_chernoff_failure, iid_sample_size, k_constant,
                      mixed_stability_bound, quasi_optimality_constant,

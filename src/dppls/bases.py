@@ -158,21 +158,6 @@ def empty_rotation(m):
     return RotatedBasisState(np.zeros((0, m)))
 
 
-def residual_feature_norm(basis, state, x):
-    """Squared residual ||phi(x) - P_{W_k} phi(x)||_2^2, computed as
-    ||phi(x)||^2 - sum_i (v_i^T phi(x))^2. Vectorized over x."""
-    if state.k >= basis.m:
-        raise ValidationError("rotation state already spans V_m")
-    x = np.asarray(x, dtype=float)
-    phi = basis.feature_matrix(np.atleast_1d(x))
-    norm2 = (phi * phi).sum(axis=1)
-    if state.k:
-        proj = phi @ state.vectors.T
-        norm2 = norm2 - (proj * proj).sum(axis=1)
-    norm2 = np.maximum(norm2, 0.0)
-    return float(norm2[0]) if x.ndim == 0 else norm2
-
-
 def extend_rotation(state, basis, x_new):
     """Append the normalized feature residual of x_new to the frame.
 

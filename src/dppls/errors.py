@@ -44,7 +44,7 @@ class DegeneratePointError(DpplsError):
 
 
 class SamplerFailureError(DpplsError):
-    """Too many consecutive degenerate points while sampling a design."""
+    """A sampler used up its proposal budget without accepting a point."""
 
 
 class ConditioningFailureError(DpplsError):

@@ -1,6 +1,6 @@
 """Empirical Gram matrices, weighted least-squares fitting, exact-norm
-error evaluation through adaptive quadrature, best approximation, and
-averaging of independent estimators.
+error evaluation through adaptive quadrature, and averaging of
+independent estimators.
 """
 
 import math
@@ -42,11 +42,10 @@ class LsqFit:
     attempts: int
 
 
-def empirical_gram(design, basis, weight=None):
-    """Empirical Gram matrix of the design; eigenvalues from a symmetric
-    eigensolver. `weight` overrides the weights recorded on the design."""
-    pts = design.points
-    w = weight.evaluate(basis, pts) if weight is not None else design.weights
+def empirical_gram(design, basis):
+    """Empirical Gram matrix of the design under the weights it carries;
+    eigenvalues from a symmetric eigensolver."""
+    pts, w = design.points, design.weights
     phi = basis.feature_matrix(pts)
     if not (np.isfinite(phi).all() and np.isfinite(w).all()):
         raise NumericError("non-finite feature or weight values")
@@ -157,16 +156,6 @@ def _change(a, b):
     return num / den
 
 
-def best_approximation(f, basis, quad=None):
-    """Coefficients a_i = integral of f phi_i d(mu) of the orthogonal
-    projection of f onto V_m, with an adaptive order-doubling check."""
-
-    def values_at(rule):
-        return basis.feature_matrix(rule.nodes).T @ (rule.weights * f(rule.nodes))
-
-    return _adaptive(values_at, basis, quad)
-
-
 def _f_moments(f, basis, quad):
     """Adaptively converged [||f||^2, integral of f phi_0, ..., f phi_{m-1}].
 
@@ -200,15 +189,6 @@ def _residual_norm(keep, c):
     return math.sqrt(float(keep["rule"].weights @ (r * r)))
 
 
-def l2_error(f, coefficients, basis, quad=None):
-    """||f - sum_i a_i phi_i|| in L^2_mu via adaptive quadrature."""
-    c = np.asarray(coefficients, dtype=float)
-    if c.shape != (basis.m,):
-        raise ValidationError("coefficient vector length must equal m")
-    _, _, keep = _f_moments(f, basis, quad)
-    return _residual_norm(keep, c)
-
-
 class ErrorEvaluator:
     """Precomputed context for evaluating many fits of one target.
 
@@ -230,7 +210,10 @@ class ErrorEvaluator:
     def abs_error(self, coefficients):
         """||f - phi^T c|| from the error split
         ||f - phi c||^2 = ||f - Pf||^2 + ||a - c||^2."""
-        d = self.best_coefficients - np.asarray(coefficients, dtype=float)
+        c = np.asarray(coefficients, dtype=float)
+        if c.shape != self.best_coefficients.shape:
+            raise ValidationError("coefficient vector length must equal m")
+        d = self.best_coefficients - c
         return math.sqrt(self.best_error ** 2 + float(d @ d))
 
     def rel_error(self, coefficients):

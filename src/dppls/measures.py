@@ -1,9 +1,9 @@
 """Reference probability measures on the line, Gauss quadrature, and a grid
 based inverse-CDF sampler for densities g with respect to the measure.
 
-Everything downstream (Christoffel sampling, DPP conditionals) reduces to
-drawing from some density g*mu on a bounded interval, so that machinery
-lives here.
+The samplers tabulate one such density per basis, the inverse Christoffel
+density w_m of nu_m = w_m mu; the DPP conditionals are drawn by rejection
+from nu_m and need no table of their own.
 """
 
 import os
@@ -19,6 +19,9 @@ from .errors import (EmptyDesignError, NegativeDensityError, NotADensityError,
                      UnsupportedOrderError, ValidationError)
 
 DEFAULT_MAX_QUAD_ORDER = 2048
+# LAPACK routine for every tridiagonal eigenvalue problem, named so that
+# results do not depend on the one scipy's 'auto' prefers
+TRIDIAGONAL_DRIVER = "sterf"
 
 # fixed 4-point Gauss-Legendre rule used per grid cell when integrating
 # densities; exact on each cell for polynomials up to degree 7
@@ -56,8 +59,6 @@ class ReferenceMeasure:
     """A 1-D probability measure with density, i.i.d. sampling and Gauss
     quadrature. Concrete kinds: UniformInterval, StandardGaussian."""
 
-    kind = "abstract"
-
     def density(self, x):
         raise NotImplementedError
 
@@ -75,8 +76,6 @@ class ReferenceMeasure:
 
 class UniformInterval(ReferenceMeasure):
     """Uniform probability measure on [a, b]."""
-
-    kind = "uniform"
 
     def __init__(self, a=-1.0, b=1.0):
         a, b = float(a), float(b)
@@ -110,8 +109,6 @@ class UniformInterval(ReferenceMeasure):
 
 class StandardGaussian(ReferenceMeasure):
     """Standard normal measure on the real line."""
-
-    kind = "gaussian"
 
     def __repr__(self):
         return "StandardGaussian()"
@@ -162,7 +159,8 @@ def _golub_welsch(offdiag):
     if q == 1:
         nodes, weights = np.zeros(1), np.ones(1)
     else:
-        nodes = eigvalsh_tridiagonal(np.zeros(q), offdiag)
+        nodes = eigvalsh_tridiagonal(np.zeros(q), offdiag,
+                                     lapack_driver=TRIDIAGONAL_DRIVER)
         prev, cur = np.zeros(q), np.ones(q)
         total = np.ones(q)
         shift = np.zeros(q, dtype=int)  # total is sum p_k^2 times 4^-shift
@@ -212,8 +210,7 @@ class GridDensitySampler:
     The cumulative masses are known at the grid nodes; within each run of
     positive-mass cells the inverse CDF is interpolated by a monotone
     piecewise cubic (PCHIP). Cells of zero mass are never selected, which
-    keeps supports with holes (e.g. DPP conditionals on occupied intervals)
-    exact.
+    keeps densities that vanish on whole intervals exact.
     """
 
     def __init__(self, nodes, cell_masses, tol):
@@ -227,8 +224,6 @@ class GridDensitySampler:
             raise NegativeDensityError("negative cell mass")
 
         total = float(cell_masses.sum())
-        self.tolerance = float(tol)
-        self.total_mass = total
         if not math.isfinite(total) or abs(total - 1.0) > tol:
             raise NotADensityError(total, tol)
 
@@ -254,7 +249,6 @@ class GridDensitySampler:
         self._inverse = PPoly(np.concatenate([r.c for r in runs], axis=1),
                               np.concatenate([runs[0].x] + [r.x[1:] for r in runs[1:]]),
                               extrapolate=False)
-        self._forward = None
 
     def sample(self, rng, n=None):
         """Draw n samples (or one scalar if n is None) through the inverse
@@ -263,17 +257,6 @@ class GridDensitySampler:
         u = rng.random(1 if scalar else n)
         out = np.clip(self._inverse(u), self.nodes[0], self.nodes[-1])
         return float(out[0]) if scalar else out
-
-    def cdf(self, x):
-        """Cumulative distribution of g*mu at x, by monotone interpolation
-        of the tabulated node values."""
-        if self._forward is None:
-            self._forward = PchipInterpolator(self.nodes, self.cum, extrapolate=False)
-        x = np.asarray(x, dtype=float)
-        out = self._forward(x)
-        out = np.where(x <= self.nodes[0], 0.0, out)
-        out = np.where(x >= self.nodes[-1], 1.0, out)
-        return out
 
 
 def _cell_masses(g, measure, nodes):

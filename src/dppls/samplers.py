@@ -33,8 +33,8 @@ from .errors import (ConditioningFailureError, DegeneratePointError,
 # GridDensitySampler and refined_grid are unused here but stay importable:
 # the benchmark's tracer wraps them, with build_density_sampler, under this
 # module
-from .measures import (GridDensitySampler, build_density_sampler,  # noqa: F401
-                       refined_grid)
+from .measures import (TRIDIAGONAL_DRIVER, GridDensitySampler,  # noqa: F401
+                       build_density_sampler, refined_grid)
 
 STATIC_MASS_TOL = 1e-8
 # nu_m proposals per batch and per step of the sequential DPP sampler; step
@@ -48,62 +48,38 @@ DPP_PROPOSAL_BUDGET = 1 << 14
 # ---------------------------------------------------------------------------
 # weight functions
 
-class WeightFunction:
-    """Weight w in the least-squares functional; the sampling measure is
-    nu = w mu."""
-
-    kind = "abstract"
-
-    def evaluate(self, basis, xs):
-        raise NotImplementedError
-
-
-class UnitWeight(WeightFunction):
-    """w = 1: plain i.i.d. sampling from mu."""
-
-    kind = "unit"
-
-    def evaluate(self, basis, xs):
-        return np.ones(np.atleast_1d(np.asarray(xs, dtype=float)).size)
-
-
-class ChristoffelWeight(WeightFunction):
-    """w = w_m: the optimal sampling density nu_m = w_m mu."""
-
-    kind = "christoffel"
-
-    def evaluate(self, basis, xs):
-        return basis.christoffel(xs)
-
-
-class MixtureWeight(WeightFunction):
-    """w = alpha w_m + (1 - alpha): the mixture alpha nu_m + (1 - alpha) mu."""
-
-    kind = "mixture"
+class Weight:
+    """w = alpha w_m + (1 - alpha) in the least-squares functional, alpha
+    in [0, 1]; the sampling measure nu = w mu is the mixture
+    alpha nu_m + (1 - alpha) mu. alpha = 1 is the optimal density nu_m and
+    alpha = 0 is mu itself."""
 
     def __init__(self, alpha):
         alpha = float(alpha)
-        if not 0.0 < alpha <= 1.0:
-            raise ValidationError(f"mixture weight needs alpha in (0, 1], got {alpha}")
+        if not 0.0 <= alpha <= 1.0:
+            raise ValidationError(f"weight needs alpha in [0, 1], got {alpha}")
         self.alpha = alpha
 
     def evaluate(self, basis, xs):
+        """w at the points; alpha = 0 evaluates no features."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if self.alpha == 0.0:
+            return np.ones(xs.size)
+        if self.alpha == 1.0:
+            return basis.christoffel(xs)
         return self.alpha * basis.christoffel(xs) + (1.0 - self.alpha)
 
 
 def make_weight(kind, alpha=1.0):
-    """Weight function by name; 'christoffel' with alpha < 1 becomes the
-    mixture alpha nu_m + (1 - alpha) mu."""
+    """Weight by name: 'unit' is w = 1; 'christoffel' and 'mixture' are
+    alpha w_m + (1 - alpha) with alpha in (0, 1]."""
     if kind == "unit":
-        return UnitWeight()
-    if kind == "christoffel":
-        if alpha < 1.0:
-            return MixtureWeight(alpha)
-        return ChristoffelWeight()
-    if kind == "mixture":
-        return MixtureWeight(alpha)
-    raise ValidationError(f"unknown weight kind {kind!r}")
+        return Weight(0.0)
+    if kind not in ("christoffel", "mixture"):
+        raise ValidationError(f"unknown weight kind {kind!r}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"{kind} weight needs alpha in (0, 1], got {alpha}")
+    return Weight(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +154,20 @@ def sample_christoffel(basis, rng, n=None):
     return _nu_sampler(basis).sample(gen, n)
 
 
-def sample_mixture_point(w, basis, rng):
-    """One draw from the mixture alpha nu_m + (1 - alpha) mu."""
-    if w.kind != "mixture":
-        raise ValidationError("sample_mixture_point needs a Mixture weight")
-    gen, _ = as_rng(rng)
-    return float(_sample_from_weight(w, basis, gen, 1)[0])
-
-
 def _sample_from_weight(w, basis, gen, n):
-    """n i.i.d. draws from nu = w mu. The mixture takes n branch uniforms,
-    then draws its nu_m block and its mu block."""
+    """n i.i.d. draws from nu = w mu. A mixture, 0 < alpha < 1, takes n
+    branch uniforms, then draws its nu_m block and its mu block."""
     if n == 0:
         return np.empty(0)
-    if w.kind == "unit":
+    if w.alpha == 0.0:
         return basis.measure.sample(gen, n)
-    if w.kind == "christoffel":
+    if w.alpha == 1.0:
         return sample_christoffel(basis, gen, n)
     pick = gen.random(n) < w.alpha
     k = int(pick.sum())
     pts = np.empty(n)
-    pts[pick] = _sample_from_weight(ChristoffelWeight(), basis, gen, k)
-    pts[~pick] = _sample_from_weight(UnitWeight(), basis, gen, n - k)
+    pts[pick] = _sample_from_weight(Weight(1.0), basis, gen, k)
+    pts[~pick] = _sample_from_weight(Weight(0.0), basis, gen, n - k)
     return pts
 
 
@@ -211,7 +179,7 @@ def _hermite_ensemble(basis, gen):
     diag = gen.standard_normal(m)
     # chi^2_{2k} / 2 is Gamma(k, 1)
     off = np.sqrt(gen.standard_gamma(np.arange(m - 1, 0, -1, dtype=float)))
-    return eigvalsh_tridiagonal(diag, off)
+    return eigvalsh_tridiagonal(diag, off, lapack_driver=TRIDIAGONAL_DRIVER)
 
 
 def _legendre_ensemble(basis, gen):
@@ -233,7 +201,7 @@ def _legendre_ensemble(basis, gen):
     prev = alpha[0:-2:2]         # alpha_{2j-2}, j = 0..m-1
     diag = (1.0 - odd[:-1]) * cur - (1.0 + odd[:-1]) * prev
     off = np.sqrt((1.0 - odd[:-2]) * (1.0 - cur[:-1] ** 2) * (1.0 + odd[1:-1]))
-    eig = 0.5 * eigvalsh_tridiagonal(diag, off)
+    eig = 0.5 * eigvalsh_tridiagonal(diag, off, lapack_driver=TRIDIAGONAL_DRIVER)
     a, b = basis.measure.a, basis.measure.b
     return np.clip(0.5 * (a + b) + 0.5 * (b - a) * eig, a, b)
 
@@ -343,10 +311,10 @@ def sample_repeated_dpp(basis, n, rng):
     return DesignSample(pts, basis.christoffel(pts), "repeated-dpp", seed)
 
 
-def sample_conditioned(inner, basis, w, delta, max_attempts=1000, rng=None):
+def sample_conditioned(inner, basis, delta, max_attempts=1000, rng=None):
     """Redraw whole designs from `inner` until the stability event
-    lambda_min(G^w) >= 1 - delta holds; the attempt count is recorded on
-    the returned sample.
+    lambda_min(G^w) >= 1 - delta holds, with w the weights each design
+    carries; the attempt count is recorded on the returned sample.
 
     `inner` is a callable rng -> DesignSample. On exhaustion a
     ConditioningFailureError carrying the best lambda_min is raised.
@@ -359,7 +327,7 @@ def sample_conditioned(inner, basis, w, delta, max_attempts=1000, rng=None):
     best = -np.inf
     for attempt in range(1, int(max_attempts) + 1):
         design = inner(gen)
-        lam = empirical_gram(design, basis, weight=w).lambda_min
+        lam = empirical_gram(design, basis).lambda_min
         if lam >= 1.0 - delta:
             return replace(design, sampler_id=design.sampler_id + "-cond",
                            seed=seed if seed is not None else design.seed,
@@ -379,9 +347,9 @@ def canonical_scheme(scheme):
 def scheme_weight(scheme, alpha=1.0):
     """The weight function each sampling scheme pairs with."""
     if scheme == "iid-mu":
-        return UnitWeight()
+        return Weight(0.0)
     if scheme in ("iid-christoffel", "repeated-dpp", "repeated-dpp-cond"):
-        return ChristoffelWeight()
+        return Weight(1.0)
     if scheme == "volume":
         return make_weight("christoffel", alpha)
     raise ValidationError(f"unknown scheme {scheme!r}")
@@ -396,8 +364,7 @@ def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=0.75,
     integer for `rng` seeds a fresh stream and records it on the sample,
     so the same call regenerates the design bit for bit.
     """
-    if scheme == "volume-rescaled":
-        scheme = "volume"
+    scheme = canonical_scheme(scheme)
     gen, seed = as_rng(rng)
     if n < 1:
         raise EmptyDesignError("need n >= 1")
@@ -412,9 +379,8 @@ def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=0.75,
     elif scheme == "repeated-dpp":
         design = replace(sample_repeated_dpp(basis, n, gen), seed=seed)
     elif scheme == "repeated-dpp-cond":
-        w = ChristoffelWeight()
         design = sample_conditioned(
-            lambda g: sample_repeated_dpp(basis, n, g), basis, w,
+            lambda g: sample_repeated_dpp(basis, n, g), basis,
             delta, max_attempts, gen)
         design = replace(design, sampler_id="repeated-dpp-cond", seed=seed)
     else:

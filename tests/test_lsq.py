@@ -10,9 +10,8 @@ from dppls.bases import make_basis
 from dppls.errors import (EmptyAggregateError, QuadratureAccuracyError,
                           SingularDesignError, ValidationError)
 from dppls.experiments import TARGETS
-from dppls.lsq import (ErrorEvaluator, averaged_estimator, best_approximation,
-                       empirical_gram, empirical_seminorm, l2_error,
-                       weighted_lsq_fit)
+from dppls.lsq import (ErrorEvaluator, averaged_estimator, empirical_gram,
+                       empirical_seminorm, weighted_lsq_fit)
 from dppls.samplers import (DesignSample, draw_design, make_weight,
                             replicate_stream, sample_dpp)
 
@@ -54,14 +53,6 @@ def test_christoffel_weighting_fixes_trace_at_m():
     g = empirical_gram(_design(pts, b), b)
     assert np.trace(g.matrix) == pytest.approx(5.0, abs=1e-12)
     assert g.lambda_max <= 5.0 + 1e-10
-
-
-def test_gram_weight_override():
-    b = make_basis("legendre", 3)
-    pts = [-0.5, 0.1, 0.7, 0.9]
-    unit = empirical_gram(_design(pts, b, "unit"), b)
-    overridden = empirical_gram(_design(pts, b), b, weight=make_weight("unit"))
-    assert np.array_equal(unit.matrix, overridden.matrix)
 
 
 def test_iid_christoffel_gram_mean_is_identity():
@@ -172,12 +163,12 @@ def test_seminorm_squared_unbiased_for_l2_norm():
 def test_best_approximation_of_basis_function():
     b = make_basis("legendre", 5)
     f = lambda xs: oracles.legendre_row(np.atleast_1d(xs), 5)[:, 3]
-    coefs = best_approximation(f, b)
+    coefs = ErrorEvaluator(f, b).best_coefficients
     assert np.allclose(coefs, np.eye(5)[3], atol=1e-12)
 
 
 def test_best_approximation_even_target_kills_odd_coefficients():
-    coefs = best_approximation(INV_QUAD, make_basis("legendre", 6))
+    coefs = ErrorEvaluator(INV_QUAD, make_basis("legendre", 6)).best_coefficients
     assert np.all(np.abs(coefs[1::2]) < 1e-12)
     assert np.all(np.abs(coefs[0::2]) > 1e-4)
 
@@ -206,12 +197,6 @@ def test_error_evaluator_rejects_default_cap_for_gaussian_target(monkeypatch):
         ErrorEvaluator(INV_QUAD, make_basis("hermite", 10))
 
 
-def test_l2_error_of_exact_coefficients_is_zero():
-    b = make_basis("legendre", 4)
-    f = lambda xs: oracles.legendre_row(np.atleast_1d(xs), 4)[:, 1]
-    assert l2_error(f, np.eye(4)[1], b) == pytest.approx(0.0, abs=1e-10)
-
-
 def test_error_evaluator_exact_for_target_in_space():
     """f = phi_1 lies in V_m: its best error, and the error of the exact
     coefficients, are 0 without a sqrt(eps) cancellation floor."""
@@ -224,23 +209,25 @@ def test_error_evaluator_exact_for_target_in_space():
 
 def test_l2_error_zero_coefficients_gives_target_norm(quad_cap_2048):
     b = make_basis("hermite", 6)
-    err = l2_error(INV_QUAD, np.zeros(6), b)
+    err = ErrorEvaluator(INV_QUAD, b).abs_error(np.zeros(6))
     assert err == pytest.approx(math.sqrt(oracles.GAUSS_INVQUAD_NORM2),
                                 abs=1e-10)
 
 
 def test_l2_error_length_mismatch():
     with pytest.raises(ValidationError):
-        l2_error(INV_QUAD, np.zeros(3), make_basis("legendre", 4))
+        ErrorEvaluator(INV_QUAD, make_basis("legendre", 4)).abs_error(np.zeros(3))
 
 
 def test_error_split_agrees_with_direct_norm():
-    """Two routes to ||f - phi c||: the residual integral in l2_error and
-    the best-error plus coefficient-distance split in ErrorEvaluator."""
+    """Two routes to ||f - phi c||: the residual integrated on the
+    evaluator's certified rule, and the best-error plus
+    coefficient-distance split in ErrorEvaluator."""
     b = make_basis("legendre", 6)
     ev = ErrorEvaluator(INV_QUAD, b)
     c = ev.best_coefficients + np.linspace(-0.05, 0.08, 6)
-    direct = l2_error(INV_QUAD, c, b)
+    r = INV_QUAD(ev.rule.nodes) - b.feature_matrix(ev.rule.nodes) @ c
+    direct = math.sqrt(ev.rule.integrate(r * r))
     assert ev.abs_error(c) == pytest.approx(direct, rel=1e-8)
     assert ev.rel_error(c) == pytest.approx(direct / ev.f_norm, rel=1e-8)
 

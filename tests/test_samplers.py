@@ -3,6 +3,7 @@ conditioned."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import ks_2samp, kstest
 
 from dppls.bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
@@ -10,15 +11,17 @@ from dppls.bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
 from dppls.errors import (ConditioningFailureError, EmptyDesignError,
                           SamplerFailureError, UnderdeterminedDesignError,
                           ValidationError)
-from dppls.lsq import empirical_gram
+from dppls import measures, samplers
+from dppls.experiments import TARGETS
+from dppls.lsq import ErrorEvaluator, _rule_for, empirical_gram
 from dppls.measures import UniformInterval
-from dppls.samplers import (SCHEMES, MixtureWeight, _sample_dpp_sequential,
-                            _sample_from_weight,
-                            canonical_scheme, draw_design, make_weight,
-                            replicate_stream, sample_christoffel,
-                            sample_conditioned, sample_dpp,
-                            sample_mixture_point, sample_repeated_dpp,
-                            sample_volume, scheme_weight)
+from dppls.samplers import (SCHEMES, Weight, _hermite_ensemble,
+                            _legendre_ensemble, _sample_dpp_sequential,
+                            _sample_from_weight, canonical_scheme,
+                            draw_design, make_weight, replicate_stream,
+                            sample_christoffel, sample_conditioned,
+                            sample_dpp, sample_repeated_dpp, sample_volume,
+                            scheme_weight)
 
 import mc
 import oracles
@@ -65,14 +68,21 @@ def test_mixture_weight_formula():
 
 
 def test_christoffel_kind_with_partial_alpha_becomes_mixture():
-    assert make_weight("christoffel", alpha=0.5).kind == "mixture"
-    assert make_weight("christoffel", alpha=1.0).kind == "christoffel"
+    assert make_weight("christoffel", alpha=0.5).alpha == 0.5
+    assert make_weight("christoffel", alpha=1.0).alpha == 1.0
+    assert make_weight("unit").alpha == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5])
 def test_mixture_alpha_domain(alpha):
     with pytest.raises(ValidationError):
         make_weight("mixture", alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [-0.2, 1.5, float("nan")])
+def test_weight_alpha_domain(alpha):
+    with pytest.raises(ValidationError):
+        Weight(alpha)
 
 
 def test_unknown_weight_kind():
@@ -89,15 +99,21 @@ def test_mixture_weight_has_unit_mass(alpha):
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+def _mixture_points(w, b, rng, count):
+    """`count` single draws from nu = w mu, one call each."""
+    return np.array([_sample_from_weight(w, b, rng, 1)[0]
+                     for _ in range(count)])
+
+
 def test_mixture_h_sampler_cache_does_not_outlive_its_basis():
     """Fresh bases on disjoint intervals, one weight: every draw lands in
     the interval of the basis it was drawn for, even when a collected
     basis's address is reused."""
-    w = MixtureWeight(0.5)
+    w = Weight(0.5)
     rng = replicate_stream(56, 0)
     for t in range(20):
         b = LegendreBasis(3, UniformInterval(10.0 * t, 10.0 * t + 1.0))
-        xs = np.array([sample_mixture_point(w, b, rng) for _ in range(20)])
+        xs = _mixture_points(w, b, rng, 20)
         assert np.all((xs >= b.measure.a) & (xs <= b.measure.b)), t
         del b
 
@@ -297,6 +313,68 @@ def test_dpp_weights_are_christoffel_values():
     assert np.array_equal(d.weights, b.christoffel(d.points))
 
 
+def _kernel_moments(basis, g):
+    """Mean and variance of S = sum_i g(x_i) under gamma_m, from the kernel
+    K(x, y) = phi(x) . phi(y) on a Gauss rule (composite for pwc):
+    mean = int g K(x, x) dmu and
+    variance = int g^2 K(x, x) dmu - int int g(x) g(y) K(x, y)^2 dmu dmu,
+    where the double integral is sum_kl (int g phi_k phi_l dmu)^2."""
+    rule = _rule_for(basis, 64)
+    phi = basis.feature_matrix(rule.nodes)
+    gw = g(rule.nodes) * rule.weights
+    diag = (phi * phi).sum(axis=1)
+    cross = phi.T @ (gw[:, None] * phi)
+    mean = gw @ diag
+    var = (gw * g(rule.nodes)) @ diag - (cross * cross).sum()
+    return mean, var
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre", "pwc"])
+def test_dpp_kernel_moments_of_sum_of_squares(family):
+    """Grid-free check of the exact gamma_m draws: the sample mean of
+    S = sum_i x_i^2 over 2e4 draws sits within 4 standard errors of the
+    kernel's mean, with the kernel's variance."""
+    m, total = 10, 20_000
+    mean, var = _kernel_moments(make_basis(family, m), np.square)
+    pts = mc.dpp_all_coords(family, m, total, seed=80).reshape(total, m)
+    z = ((pts * pts).sum(axis=1).mean() - mean) / np.sqrt(var / total)
+    assert abs(z) < 4.0, z
+
+
+def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
+                                                      quad_cap_2048):
+    """Gauss rules and the matrix models run a pinned LAPACK driver.
+    Forcing 'stemr' instead moves the Hermite m = 10 best error and the
+    sorted matrix-model draws by rounding only."""
+    calls = []
+
+    def run():
+        measures._hermite_prob_cached.cache_clear()
+        best = ErrorEvaluator(TARGETS["inv-quad"].evaluator,
+                              HermiteBasis(10)).best_rel_error
+        draws = [np.sort(ensemble(basis, replicate_stream(81, rep)))
+                 for ensemble, basis in ((_hermite_ensemble, HermiteBasis(10)),
+                                         (_legendre_ensemble, LegendreBasis(10)))
+                 for rep in range(200)]
+        return best, np.array(draws)
+
+    def stemr(d, e, **kwargs):
+        calls.append(len(d))
+        return eigvalsh_tridiagonal(d, e, **dict(kwargs, lapack_driver="stemr"))
+
+    best, draws = run()
+    monkeypatch.setattr(measures, "eigvalsh_tridiagonal", stemr)
+    monkeypatch.setattr(samplers, "eigvalsh_tridiagonal", stemr)
+    try:
+        best_stemr, draws_stemr = run()
+    finally:
+        measures._hermite_prob_cached.cache_clear()
+    assert len(calls) > 400
+    assert best_stemr == pytest.approx(best, rel=1e-12)
+    scale = np.abs(draws).max(axis=1, keepdims=True)
+    assert np.all(np.abs(draws_stemr - draws) <= 1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # volume sampling
 
@@ -367,8 +445,7 @@ def test_repeated_dpp_needs_positive_n():
 
 def test_conditioned_pwc_accepts_first_attempt():
     b = make_basis("pwc", 4)
-    d = sample_conditioned(lambda g: sample_dpp(b, g), b,
-                           make_weight("christoffel"), 0.5,
+    d = sample_conditioned(lambda g: sample_dpp(b, g), b, 0.5,
                            rng=replicate_stream(40, 0))
     assert d.attempts == 1
     assert d.sampler_id.endswith("-cond")
@@ -377,17 +454,15 @@ def test_conditioned_pwc_accepts_first_attempt():
 def test_conditioned_zero_attempts_fails():
     b = make_basis("pwc", 4)
     with pytest.raises(ConditioningFailureError):
-        sample_conditioned(lambda g: sample_dpp(b, g), b,
-                           make_weight("christoffel"), 0.5, max_attempts=0,
-                           rng=replicate_stream(41, 0))
+        sample_conditioned(lambda g: sample_dpp(b, g), b, 0.5,
+                           max_attempts=0, rng=replicate_stream(41, 0))
 
 
 def test_conditioned_reports_best_lambda_on_failure():
     b = make_basis("hermite", 5)
     with pytest.raises(ConditioningFailureError) as info:
         sample_conditioned(lambda g: sample_repeated_dpp(b, 5, g), b,
-                           make_weight("christoffel"), 0.01, max_attempts=3,
-                           rng=replicate_stream(42, 0))
+                           0.01, max_attempts=3, rng=replicate_stream(42, 0))
     assert info.value.attempts == 3
     assert info.value.best_lambda_min < 0.99
 
@@ -398,8 +473,7 @@ def test_conditioned_mean_attempts_moderate():
     total = 0
     for rep in range(100):
         d = sample_conditioned(lambda g: sample_repeated_dpp(b, 20, g), b,
-                               make_weight("christoffel"), 0.75,
-                               rng=replicate_stream(43, rep))
+                               0.75, rng=replicate_stream(43, rep))
         g = empirical_gram(d, b)
         assert g.lambda_min >= 0.25
         total += d.attempts
@@ -409,25 +483,18 @@ def test_conditioned_mean_attempts_moderate():
 def test_conditioned_delta_domain():
     b = make_basis("pwc", 4)
     with pytest.raises(ValidationError):
-        sample_conditioned(lambda g: sample_dpp(b, g), b,
-                           make_weight("christoffel"), 1.5,
+        sample_conditioned(lambda g: sample_dpp(b, g), b, 1.5,
                            rng=replicate_stream(44, 0))
 
 
 # ---------------------------------------------------------------------------
 # mixture point sampling
 
-def test_mixture_point_needs_mixture_weight():
-    b = make_basis("legendre", 4)
-    with pytest.raises(ValidationError):
-        sample_mixture_point(make_weight("unit"), b, replicate_stream(45, 0))
-
-
 def test_mixture_alpha_one_is_christoffel_law():
     b = make_basis("legendre", 4)
     w = make_weight("mixture", alpha=1.0)
     rng = replicate_stream(46, 0)
-    mixed = np.array([sample_mixture_point(w, b, rng) for _ in range(4_000)])
+    mixed = _mixture_points(w, b, rng, 4_000)
     direct = np.array([sample_christoffel(b, replicate_stream(47, i))
                        for i in range(4_000)])
     assert ks_2samp(mixed, direct).pvalue > 0.001
@@ -437,14 +504,14 @@ def test_mixture_tiny_alpha_close_to_mu():
     b = make_basis("legendre", 4)
     w = make_weight("mixture", alpha=1e-9)
     rng = replicate_stream(48, 0)
-    xs = np.array([sample_mixture_point(w, b, rng) for _ in range(10_000)])
+    xs = _mixture_points(w, b, rng, 10_000)
     assert kstest(xs, oracles.uniform_cdf).statistic < 0.02
 
 
 def test_mixture_batch_cdf():
     """The batched mixture: branch uniforms, then a nu_m and a mu block."""
     b = make_basis("legendre", 6)
-    xs = _sample_from_weight(MixtureWeight(0.3), b, replicate_stream(68, 0),
+    xs = _sample_from_weight(Weight(0.3), b, replicate_stream(68, 0),
                              200_000)
     assert kstest(xs, oracles.mixture_cdf("legendre", 6, 0.3)).pvalue > 0.001
 
@@ -453,7 +520,7 @@ def test_mixture_half_alpha_cdf():
     b = make_basis("legendre", 4)
     w = make_weight("mixture", alpha=0.5)
     rng = replicate_stream(49, 0)
-    xs = np.array([sample_mixture_point(w, b, rng) for _ in range(10_000)])
+    xs = _mixture_points(w, b, rng, 10_000)
     assert kstest(xs, oracles.mixture_cdf("legendre", 4, 0.5)).statistic < 0.02
 
 
@@ -461,12 +528,12 @@ def test_mixture_half_alpha_cdf():
 # scheme dispatch
 
 def test_scheme_weight_kinds():
-    assert scheme_weight("iid-mu").kind == "unit"
-    assert scheme_weight("iid-christoffel").kind == "christoffel"
-    assert scheme_weight("volume").kind == "christoffel"
-    assert scheme_weight("volume", alpha=0.5).kind == "mixture"
-    assert scheme_weight("repeated-dpp").kind == "christoffel"
-    assert scheme_weight("repeated-dpp-cond").kind == "christoffel"
+    assert scheme_weight("iid-mu").alpha == 0.0
+    assert scheme_weight("iid-christoffel").alpha == 1.0
+    assert scheme_weight("volume").alpha == 1.0
+    assert scheme_weight("volume", alpha=0.5).alpha == 0.5
+    assert scheme_weight("repeated-dpp").alpha == 1.0
+    assert scheme_weight("repeated-dpp-cond").alpha == 1.0
     with pytest.raises(ValidationError):
         scheme_weight("bogus")
 
