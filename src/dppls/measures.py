@@ -3,7 +3,9 @@ based inverse-CDF sampler for densities g with respect to the measure.
 
 The samplers tabulate one such density per basis, the inverse Christoffel
 density w_m of nu_m = w_m mu; the DPP conditionals are drawn by rejection
-from nu_m and need no table of their own.
+from nu_m and need no table of their own. The inverse CDF is a monotone
+piecewise cubic (PCHIP) built and evaluated in numpy; scipy is imported
+only when a Gauss rule is built.
 """
 
 import os
@@ -12,15 +14,14 @@ import math
 import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
-from scipy.interpolate import PchipInterpolator, PPoly
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (EmptyDesignError, NegativeDensityError, NotADensityError,
                      UnsupportedOrderError, ValidationError)
 
 DEFAULT_MAX_QUAD_ORDER = 2048
-# LAPACK routine for every tridiagonal eigenvalue problem, named so that
-# results do not depend on the one scipy's 'auto' prefers
+# LAPACK routine for the Gauss rules' tridiagonal eigenvalue problems,
+# named so that results do not depend on the one scipy's 'auto' prefers;
+# the samplers' matrix models reach the same dsterf through numpy's dsyevd
 TRIDIAGONAL_DRIVER = "sterf"
 
 # fixed 4-point Gauss-Legendre rule used per grid cell when integrating
@@ -159,6 +160,8 @@ def _golub_welsch(offdiag):
     if q == 1:
         nodes, weights = np.zeros(1), np.ones(1)
     else:
+        # imported here, so that only the Gauss rules load scipy
+        from scipy.linalg import eigvalsh_tridiagonal
         nodes = eigvalsh_tridiagonal(np.zeros(q), offdiag,
                                      lapack_driver=TRIDIAGONAL_DRIVER)
         prev, cur = np.zeros(q), np.ones(q)
@@ -244,19 +247,71 @@ class GridDensitySampler:
         # begins, so the cubics join into one inverse on [0, 1]
         starts = np.flatnonzero(positive & ~np.concatenate(([False], positive[:-1])))
         ends = np.flatnonzero(positive & ~np.concatenate((positive[1:], [False])))
-        runs = [PchipInterpolator(cum[s:e + 2], nodes[s:e + 2])
+        runs = [_pchip_coefficients(cum[s:e + 2], nodes[s:e + 2])
                 for s, e in zip(starts, ends)]
-        self._inverse = PPoly(np.concatenate([r.c for r in runs], axis=1),
-                              np.concatenate([runs[0].x] + [r.x[1:] for r in runs[1:]]),
-                              extrapolate=False)
+        # one contiguous array per power, lowest first, and the CDF values
+        # that start the pieces; consecutive runs share their joining value
+        self._coef = [np.concatenate(c) for c in zip(*runs)]
+        self._breaks = np.concatenate([cum[s:e + 1] for s, e in zip(starts, ends)])
 
     def sample(self, rng, n=None):
         """Draw n samples (or one scalar if n is None) through the inverse
         CDF, one uniform per sample."""
         scalar = n is None
         u = rng.random(1 if scalar else n)
-        out = np.clip(self._inverse(u), self.nodes[0], self.nodes[-1])
+        i = np.searchsorted(self._breaks[1:], u, side="right")
+        s = u - self._breaks[i]
+        c3, c2, c1, c0 = self._coef
+        out, c2, c1, c0 = c3[i], c2[i], c1[i], c0[i]
+        # out = c3 + c2 s + c1 s^2 + c0 (s^2 s) in place, summed in the
+        # order of scipy's PPoly
+        ss = s * s
+        c2 *= s
+        c1 *= ss
+        ss *= s
+        c0 *= ss
+        out += c2
+        out += c1
+        out += c0
+        np.maximum(out, self.nodes[0], out=out)
+        np.minimum(out, self.nodes[-1], out=out)
         return float(out[0]) if scalar else out
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Three-point end derivative with the shape-preserving guards."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x, y):
+    """The monotone cubic through (x, y), x strictly increasing (Fritsch
+    and Carlson 1980), as scipy's PchipInterpolator builds it: knot
+    derivatives by the weighted harmonic mean of the adjacent slopes
+    (Fritsch and Butland 1984; zero at a change of sign), three-point end
+    derivatives, and a secant for two knots. Returns the per-piece
+    coefficients of 1, s, s^2 and s^3 with s = u - x[k] on piece k."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([slope[0], slope[0]])
+    else:
+        d = np.zeros_like(y)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = ((np.sign(slope[1:]) != np.sign(slope[:-1]))
+                | (slope[1:] == 0) | (slope[:-1] == 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 / slope[:-1] + w2 / slope[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+        d[0] = _pchip_end_slope(h[0], h[1], slope[0], slope[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], slope[-1], slope[-2])
+    t = (d[:-1] + d[1:] - 2.0 * slope) / h
+    return y[:-1], d[:-1], (slope - d[:-1]) / h - t, t / h
 
 
 def _cell_masses(g, measure, nodes):

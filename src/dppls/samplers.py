@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 from dataclasses import dataclass, replace
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
                     empty_rotation, extend_rotation)
@@ -33,8 +32,8 @@ from .errors import (ConditioningFailureError, DegeneratePointError,
 # GridDensitySampler and refined_grid are unused here but stay importable:
 # the benchmark's tracer wraps them, with build_density_sampler, under this
 # module
-from .measures import (TRIDIAGONAL_DRIVER, GridDensitySampler,  # noqa: F401
-                       build_density_sampler, refined_grid)
+from .measures import (GridDensitySampler, build_density_sampler,  # noqa: F401
+                       refined_grid)
 
 STATIC_MASS_TOL = 1e-8
 # nu_m proposals per batch and per step of the sequential DPP sampler; step
@@ -171,6 +170,18 @@ def _sample_from_weight(w, basis, gen, n):
     return pts
 
 
+def _tridiagonal_eigvalsh(diag, off):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with this
+    diagonal and off-diagonal, by LAPACK dsyevd on the dense lower
+    triangle. Its reduction leaves a tridiagonal matrix as it is, so it
+    runs dsterf on the input itself, in numpy and without scipy."""
+    m = diag.size
+    a = np.zeros((m, m))
+    a.flat[::m + 1] = diag
+    a.flat[m::m + 1] = off
+    return np.linalg.eigvalsh(a)
+
+
 def _hermite_ensemble(basis, gen):
     """Eigenvalues of the beta = 2 Hermite matrix model (Dumitriu and
     Edelman 2002): diagonal i.i.d. N(0, 1), off-diagonal sqrt(chi^2_{2k}/2)
@@ -179,7 +190,7 @@ def _hermite_ensemble(basis, gen):
     diag = gen.standard_normal(m)
     # chi^2_{2k} / 2 is Gamma(k, 1)
     off = np.sqrt(gen.standard_gamma(np.arange(m - 1, 0, -1, dtype=float)))
-    return eigvalsh_tridiagonal(diag, off, lapack_driver=TRIDIAGONAL_DRIVER)
+    return _tridiagonal_eigvalsh(diag, off)
 
 
 def _legendre_ensemble(basis, gen):
@@ -201,7 +212,7 @@ def _legendre_ensemble(basis, gen):
     prev = alpha[0:-2:2]         # alpha_{2j-2}, j = 0..m-1
     diag = (1.0 - odd[:-1]) * cur - (1.0 + odd[:-1]) * prev
     off = np.sqrt((1.0 - odd[:-2]) * (1.0 - cur[:-1] ** 2) * (1.0 + odd[1:-1]))
-    eig = 0.5 * eigvalsh_tridiagonal(diag, off, lapack_driver=TRIDIAGONAL_DRIVER)
+    eig = 0.5 * _tridiagonal_eigvalsh(diag, off)
     a, b = basis.measure.a, basis.measure.b
     return np.clip(0.5 * (a + b) + 0.5 * (b - a) * eig, a, b)
 

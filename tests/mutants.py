@@ -55,8 +55,8 @@ MUTANTS = (
            "xs[u * norms2 < resid2]",
            "xs[u * norms2 ** 2 < resid2 ** 2]"),
     Mutant("legendre-eigenvalues-x0.99", "samplers.py",
-           "eig = 0.5 * eigvalsh_tridiagonal(",
-           "eig = 0.495 * eigvalsh_tridiagonal("),
+           "eig = 0.5 * _tridiagonal_eigvalsh(",
+           "eig = 0.495 * _tridiagonal_eigvalsh("),
     Mutant("unweighted-conditioning", "samplers.py",
            "lam = empirical_gram(design, basis).lambda_min",
            "lam = empirical_gram(replace(design, weights=np.ones(design.n)),"

@@ -138,6 +138,34 @@ def test_console_script_installed():
     assert proc.stdout.startswith("quantity,value,note")
 
 
+_SCIPY_PROBE = """
+import io, sys
+import dppls
+from dppls import cli
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+for scheme in ("repeated-dpp", "iid-christoffel"):
+    sys.stdout = io.StringIO()
+    code = cli.main(["dump-design", "--basis", "legendre", "--m", "5",
+                     "--n", "5", "--scheme", scheme])
+    sys.stdout = sys.__stdout__
+    assert code == 0, scheme
+    assert not scipy_modules(), (scheme, scipy_modules())
+dppls.StandardGaussian().gauss_quadrature(64)
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_import_does_not_load_scipy():
+    """The samplers run on numpy alone; scipy is loaded for Gauss rules."""
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

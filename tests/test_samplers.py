@@ -343,36 +343,58 @@ def test_dpp_kernel_moments_of_sum_of_squares(family):
 
 def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
                                                       quad_cap_2048):
-    """Gauss rules and the matrix models run a pinned LAPACK driver.
-    Forcing 'stemr' instead moves the Hermite m = 10 best error and the
-    sorted matrix-model draws by rounding only."""
-    calls = []
+    """The matrix models take their eigenvalues from
+    `samplers._tridiagonal_eigvalsh` (numpy's dsyevd, which runs dsterf),
+    the Gauss rules from scipy's `eigvalsh_tridiagonal` with a pinned
+    driver. On the models' own matrices the helper equals scipy's 'sterf'
+    bit for bit, and 'stemr' differs by rounding only; forcing 'stemr'
+    into the Gauss rules moves the Hermite m = 10 best error by rounding
+    only."""
+    import scipy.linalg
 
-    def run():
-        measures._hermite_prob_cached.cache_clear()
-        best = ErrorEvaluator(TARGETS["inv-quad"].evaluator,
-                              HermiteBasis(10)).best_rel_error
-        draws = [np.sort(ensemble(basis, replicate_stream(81, rep)))
-                 for ensemble, basis in ((_hermite_ensemble, HermiteBasis(10)),
-                                         (_legendre_ensemble, LegendreBasis(10)))
-                 for rep in range(200)]
-        return best, np.array(draws)
+    calls = []
 
     def stemr(d, e, **kwargs):
         calls.append(len(d))
         return eigvalsh_tridiagonal(d, e, **dict(kwargs, lapack_driver="stemr"))
 
-    best, draws = run()
-    monkeypatch.setattr(measures, "eigvalsh_tridiagonal", stemr)
-    monkeypatch.setattr(samplers, "eigvalsh_tridiagonal", stemr)
+    helper = samplers._tridiagonal_eigvalsh
+    matrices = []
+
+    def recording(diag, off):
+        matrices.append((diag, off))
+        return helper(diag, off)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(samplers, "_tridiagonal_eigvalsh", recording)
+        for ensemble, family in ((_hermite_ensemble, "hermite"),
+                                 (_legendre_ensemble, "legendre")):
+            for m in (2, 10, 50):
+                basis = make_basis(family, m)
+                for rep in range(200):
+                    ensemble(basis, replicate_stream(81, m, rep))
+    assert len(matrices) == 1200
+    for diag, off in matrices:
+        eig = helper(diag, off)
+        sterf = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
+        assert eig.tobytes() == sterf.tobytes()
+        assert np.all(np.abs(stemr(diag, off) - eig) <= 1e-12 * np.abs(eig).max())
+
+    def best_rel_error():
+        measures._hermite_prob_cached.cache_clear()
+        return ErrorEvaluator(TARGETS["inv-quad"].evaluator,
+                              HermiteBasis(10)).best_rel_error
+
     try:
-        best_stemr, draws_stemr = run()
+        best = best_rel_error()
+        model_calls = len(calls)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", stemr)
+        best_stemr = best_rel_error()
     finally:
         measures._hermite_prob_cached.cache_clear()
     assert len(calls) > 400
+    assert len(calls) > model_calls  # the Gauss rules ran 'stemr'
     assert best_stemr == pytest.approx(best, rel=1e-12)
-    scale = np.abs(draws).max(axis=1, keepdims=True)
-    assert np.all(np.abs(draws_stemr - draws) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
