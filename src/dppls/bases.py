@@ -43,8 +43,13 @@ class FeatureBasis:
 
     def christoffel(self, xs):
         """w_m(x) = ||phi(x)||_2^2 / m, vectorized."""
-        phi = self.feature_matrix(np.atleast_1d(np.asarray(xs, dtype=float)))
-        return (phi * phi).sum(axis=1) / self.m
+        return christoffel_rows(
+            self.feature_matrix(np.atleast_1d(np.asarray(xs, dtype=float))))
+
+
+def christoffel_rows(phi):
+    """w_m = ||phi(x)||_2^2 / m from the feature rows phi, shape (n, m)."""
+    return (phi * phi).sum(axis=1) / phi.shape[1]
 
 
 class LegendreBasis(FeatureBasis):

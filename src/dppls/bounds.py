@@ -201,7 +201,7 @@ def k_constant(basis, w=None, grid=100_000):
     xs = np.linspace(lo, hi, grid)
     phi = basis.feature_matrix(xs)
     norms2 = np.einsum("ij,ij->i", phi, phi)
-    return float(np.max(norms2 / w.evaluate(basis, xs)))
+    return float(np.max(norms2 / w.evaluate(phi)))
 
 
 def quasi_optimality_constant(m, n, alpha, delta, eta, xi):

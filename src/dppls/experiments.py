@@ -6,6 +6,14 @@ Every run is a pure function of its configuration and seed. Each
 replicate owns an RNG stream derived from (seed, replicate, cell), so
 splitting replicates across any number of worker processes cannot change
 a single output byte.
+
+A job function takes a chunk's replicate streams in blocks of at most
+BLOCK and returns one record per stream, in order. The stability and
+tail-comparison jobs draw every design on its own stream, place each
+Gram matrix in one (k, m, m) array and take the block's smallest
+eigenvalues in one stacked eigvalsh; LAPACK treats each matrix on its
+own, so a record does not depend on the block it was computed in. The
+error jobs fit replicate by replicate.
 """
 
 import csv
@@ -21,7 +29,10 @@ from dataclasses import dataclass
 
 from .bases import BASIS_FAMILIES, make_basis
 from .errors import DpplsError, SingularDesignError, ValidationError
-from .lsq import ErrorEvaluator, empirical_gram, weighted_lsq_fit
+# empirical_gram is unused here but stays importable: the benchmark's
+# tracer wraps it under this module
+from .lsq import (ErrorEvaluator, empirical_gram,  # noqa: F401
+                  weighted_gram, weighted_lsq_fit)
 from .measures import max_quad_order
 from .samplers import (SCHEMES, canonical_scheme, draw_design,
                        replicate_stream)
@@ -31,6 +42,9 @@ DEFAULT_M_VALUES = (10, 20, 30, 40, 50)
 DEFAULT_N_MULTIPLIERS = (2, 5, 10)
 DEFAULT_DELTA = 0.75
 STABILITY_SCHEMES = ("iid-mu", "iid-christoffel", "volume", "repeated-dpp")
+# replicate streams per job-function call: enough to spread eigvalsh's
+# per-call cost, few enough that a block's Gram array stays small
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -143,16 +157,24 @@ def _cell_key(m, n, scheme):
     return (int(m), int(n), SCHEMES.index(scheme))
 
 
-def _stability_replicate(config, m, n, scheme, gen):
-    """(status, hit): whether lambda_min(G^w) >= 1 - delta on one draw."""
+def _stability_block(config, m, n, scheme, gens):
+    """(status, hit) per stream: whether lambda_min(G^w) >= 1 - delta on
+    its draw. A failed draw leaves its Gram slot at zero."""
     basis = _get_basis(config.basis_family, m)
-    try:
-        design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
-                             delta=config.delta, max_attempts=config.max_attempts)
-        lam = empirical_gram(design, basis).lambda_min
-        return "ok", 1.0 if lam >= 1.0 - config.delta else 0.0
-    except DpplsError:
-        return "failed", 0.0
+    grams = np.zeros((len(gens), m, m))
+    ok = np.zeros(len(gens), dtype=bool)
+    for i, gen in enumerate(gens):
+        try:
+            design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
+                                 delta=config.delta,
+                                 max_attempts=config.max_attempts)
+            grams[i] = weighted_gram(design.features, design.weights)
+            ok[i] = True
+        except DpplsError:
+            pass
+    lams = np.linalg.eigvalsh(grams)[:, 0]
+    return [("ok", 1.0 if lam >= 1.0 - config.delta else 0.0) if good
+            else ("failed", 0.0) for good, lam in zip(ok, lams)]
 
 
 def _error_replicate(config, m, n, scheme, gen):
@@ -172,22 +194,33 @@ def _error_replicate(config, m, n, scheme, gen):
         return "failed", math.nan
 
 
-def _conjecture_replicate(config, m, gen):
-    """lambda_min of an m-point projection draw, then of m i.i.d. nu_m
-    draws from the same stream."""
+def _error_block(config, m, n, scheme, gens):
+    """One `_error_replicate` record per stream."""
+    return [_error_replicate(config, m, n, scheme, gen) for gen in gens]
+
+
+def _conjecture_block(config, m, gens):
+    """(lambda_min of an m-point projection draw, lambda_min of m i.i.d.
+    nu_m draws from the same stream) per stream."""
     basis = _get_basis(config.basis_family, m)
-    lam_dpp = empirical_gram(
-        draw_design("repeated-dpp", basis, m, gen), basis).lambda_min
-    lam_iid = empirical_gram(
-        draw_design("iid-christoffel", basis, m, gen), basis).lambda_min
-    return lam_dpp, lam_iid
+    grams = np.empty((len(gens), 2, m, m))
+    for pair, gen in zip(grams, gens):
+        for gram, scheme in zip(pair, ("repeated-dpp", "iid-christoffel")):
+            design = draw_design(scheme, basis, m, gen)
+            gram[...] = weighted_gram(design.features, design.weights)
+    return [tuple(lams) for lams in np.linalg.eigvalsh(grams)[..., 0].tolist()]
 
 
 def _run_chunk(task):
-    """Replicates [start, stop) of one job, in replicate order."""
+    """Replicates [start, stop) of one job, in replicate order: the job
+    function takes their streams in blocks of at most BLOCK and returns
+    one record per stream."""
     fn, args, key, seed, start, stop = task
-    return [fn(*args, replicate_stream(seed, r, *key))
-            for r in range(start, stop)]
+    records = []
+    for a in range(start, stop, BLOCK):
+        records += fn(*args, [replicate_stream(seed, r, *key)
+                              for r in range(a, min(a + BLOCK, stop))])
+    return records
 
 
 def _chunk_ranges(replicates, workers):
@@ -222,8 +255,9 @@ def _worker_pool(workers):
 
 def _run_replicates(jobs, replicates, seed, workers, pool):
     """Run every job (fn, args, key) on `pool` (in this process when it is
-    None). Returns, per job and in replicate order, the list
-    [fn(*args, replicate_stream(seed, r, *key)) for r < replicates].
+    None). Returns, per job and in replicate order, one record per
+    replicate r < replicates, made by fn(*args, streams) from the stream
+    replicate_stream(seed, r, *key) (see _run_chunk).
 
     Replicates are chunked by the requested worker count; pool.map keeps
     task order, so the chunks of each job come back consecutively.
@@ -237,7 +271,7 @@ def _run_replicates(jobs, replicates, seed, workers, pool):
 
 def _run_cells(fn, config, cells, pool):
     """Per (m, n, scheme) cell, the config's replicates of
-    fn(config, m, n, scheme, stream)."""
+    fn(config, m, n, scheme, streams)."""
     jobs = [(fn, (config, m, n, s), _cell_key(m, n, s)) for (m, n, s) in cells]
     return _run_replicates(jobs, config.replicates, config.seed,
                            config.workers, pool)
@@ -293,7 +327,7 @@ def stability_map(config, out=None):
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
     with _worker_pool(config.workers) as pool:
-        results = _run_cells(_stability_replicate, config, cells, pool)
+        results = _run_cells(_stability_block, config, cells, pool)
     header = ["m", "n", "scheme", "p_hat", "replicates", "seed", "failures"]
     rows = []
     for (m, n, s), records in zip(cells, results):
@@ -323,7 +357,7 @@ def error_table(config, out=None):
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
     with _worker_pool(config.workers) as pool:
-        results = _run_cells(_error_replicate, config, cells, pool)
+        results = _run_cells(_error_block, config, cells, pool)
     results = dict(zip(cells, results))
     header = ["m", "n", "best"]
     for s in config.schemes:
@@ -361,7 +395,7 @@ def error_histogram(config, out=None):
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
     with _worker_pool(config.workers) as pool:
-        results = _run_cells(_error_replicate, config, cells, pool)
+        results = _run_cells(_error_block, config, cells, pool)
     header = ["m", "n", "scheme", "replicate", "status",
               "rel_error", "log_rel_error"]
     rows = []
@@ -398,7 +432,7 @@ def conjecture_check(m, t_grid, replicates, seed, basis_family="legendre",
     config = ExperimentConfig(basis_family=basis_family, schemes=("repeated-dpp",),
                               m_values=(m,), n_values=(m,), replicates=replicates,
                               seed=seed, workers=workers)
-    job = (_conjecture_replicate, (config, m), _cell_key(m, m, "repeated-dpp"))
+    job = (_conjecture_block, (config, m), _cell_key(m, m, "repeated-dpp"))
     with _worker_pool(config.workers) as pool:
         [records] = _run_replicates([job], config.replicates, config.seed,
                                     config.workers, pool)
@@ -454,7 +488,7 @@ def minimal_stable_n(basis_family, scheme, m, delta, replicates, seed,
                                       n_values=(n,), replicates=replicates,
                                       seed=seed, delta=delta, workers=workers,
                                       alpha=alpha)
-            [records] = _run_cells(_stability_replicate, config,
+            [records] = _run_cells(_stability_block, config,
                                    [(m, n, scheme)], pool)
             hits = sum(ev for (status, ev) in records if status == "ok")
             if hits / replicates >= 0.5:

@@ -42,15 +42,28 @@ class LsqFit:
     attempts: int
 
 
-def empirical_gram(design, basis):
-    """Empirical Gram matrix of the design under the weights it carries;
-    eigenvalues from a symmetric eigensolver."""
-    pts, w = design.points, design.weights
-    phi = basis.feature_matrix(pts)
+def _features(design, basis):
+    """The feature rows the design carries, checked against the basis."""
+    if design.features.shape[1] != basis.m:
+        raise ValidationError(
+            f"design carries {design.features.shape[1]} features, basis has "
+            f"m={basis.m}")
+    return design.features
+
+
+def weighted_gram(phi, w):
+    """G^w = (1/n) sum_i w_i^{-1} phi_i phi_i^T, symmetrized, from feature
+    rows phi (n, m) and weights w (n,)."""
     if not (np.isfinite(phi).all() and np.isfinite(w).all()):
         raise NumericError("non-finite feature or weight values")
-    G = (phi.T * (1.0 / (w * len(pts)))) @ phi
-    G = 0.5 * (G + G.T)
+    G = (phi.T * (1.0 / (w * len(w)))) @ phi
+    return 0.5 * (G + G.T)
+
+
+def empirical_gram(design, basis):
+    """Empirical Gram matrix of the design under the feature rows and
+    weights it carries; eigenvalues from a symmetric eigensolver."""
+    G = weighted_gram(_features(design, basis), design.weights)
     evals = np.linalg.eigvalsh(G)
     return EmpiricalGram(G, float(evals[0]), float(evals[-1]))
 
@@ -68,7 +81,7 @@ def weighted_lsq_fit(f_values, design, basis):
     if f_values.shape != (design.n,):
         raise ValidationError("f_values length must match the design size")
     scale = 1.0 / np.sqrt(design.n * design.weights)
-    A = basis.feature_matrix(design.points) * scale[:, None]
+    A = _features(design, basis) * scale[:, None]
     if not np.isfinite(A).all():
         raise NumericError("non-finite feature or weight values")
     coef, _, _, sigma = np.linalg.lstsq(A, f_values * scale, rcond=None)

@@ -329,6 +329,13 @@ def _cell_masses(g, measure, nodes):
     return (vals @ _GL_W) * half
 
 
+def _sorted_distinct(x):
+    """The distinct values of x in ascending order, for x without NaN: the
+    nodes np.unique gives, without its first-call import of numpy.ma."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def refined_grid(g, measure, *, support=None, initial_cells=2048,
                  max_cell_mass=1e-3, breakpoints=None, max_refinements=12):
     """Adaptive grid for tabulating the density g w.r.t. the measure.
@@ -343,7 +350,7 @@ def refined_grid(g, measure, *, support=None, initial_cells=2048,
     if breakpoints is not None:
         pts = np.asarray(breakpoints, dtype=float)
         pts = pts[(pts > lo) & (pts < hi)]
-        nodes = np.unique(np.concatenate((nodes, pts)))
+        nodes = _sorted_distinct(np.concatenate((nodes, pts)))
 
     masses = _cell_masses(g, measure, nodes)
     for _ in range(max_refinements):
@@ -351,7 +358,7 @@ def refined_grid(g, measure, *, support=None, initial_cells=2048,
         if not heavy.any():
             break
         extra = 0.5 * (nodes[:-1][heavy] + nodes[1:][heavy])
-        nodes = np.unique(np.concatenate((nodes, extra)))
+        nodes = _sorted_distinct(np.concatenate((nodes, extra)))
         masses = _cell_masses(g, measure, nodes)
     return nodes, masses
 

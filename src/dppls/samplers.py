@@ -17,15 +17,20 @@ from its random tridiagonal matrix model. Every other basis, subclasses
 included, goes through the sequential sampler, which draws each
 conditional by rejection from nu_m and so is exact up to the nu_m
 tabulation.
+
+Every design carries its feature rows phi(x_i), evaluated once per block
+of drawn points (a gamma_m draw, the i.i.d. extras of a volume design,
+an i.i.d. design); its weights are read from those rows.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from dataclasses import dataclass, replace
 
 from .bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
-                    empty_rotation, extend_rotation)
+                    christoffel_rows, empty_rotation, extend_rotation)
 from .errors import (ConditioningFailureError, DegeneratePointError,
                      EmptyDesignError, SamplerFailureError,
                      UnderdeterminedDesignError, ValidationError)
@@ -59,14 +64,14 @@ class Weight:
             raise ValidationError(f"weight needs alpha in [0, 1], got {alpha}")
         self.alpha = alpha
 
-    def evaluate(self, basis, xs):
-        """w at the points; alpha = 0 evaluates no features."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    def evaluate(self, phi):
+        """w at the points whose feature rows are phi, shape (n, m);
+        alpha = 0 reads only the row count."""
         if self.alpha == 0.0:
-            return np.ones(xs.size)
+            return np.ones(len(phi))
         if self.alpha == 1.0:
-            return basis.christoffel(xs)
-        return self.alpha * basis.christoffel(xs) + (1.0 - self.alpha)
+            return christoffel_rows(phi)
+        return self.alpha * christoffel_rows(phi) + (1.0 - self.alpha)
 
 
 def make_weight(kind, alpha=1.0):
@@ -87,11 +92,14 @@ def make_weight(kind, alpha=1.0):
 @dataclass(frozen=True)
 class DesignSample:
     """An ordered design x_1..x_n with the weight values w(x_i), the
-    sampler that produced it, the integer seed when one was supplied, and
-    the number of rejection attempts consumed."""
+    feature rows phi(x_i) (shape (n, m), evaluated once by the sampler
+    for the Gram matrix and the fit), the sampler that produced it, the
+    integer seed when one was supplied, and the number of rejection
+    attempts consumed."""
 
     points: np.ndarray
     weights: np.ndarray
+    features: np.ndarray
     sampler_id: str
     seed: object = None
     attempts: int = 1
@@ -101,6 +109,8 @@ class DesignSample:
             raise EmptyDesignError("a design needs at least one point")
         if len(self.points) != len(self.weights):
             raise ValidationError("points and weights lengths differ")
+        if np.ndim(self.features) != 2 or len(self.features) != len(self.points):
+            raise ValidationError("features need one row per point")
 
     @property
     def n(self):
@@ -193,15 +203,24 @@ def _hermite_ensemble(basis, gen):
     return _tridiagonal_eigvalsh(diag, off)
 
 
+@lru_cache(maxsize=None)
+def _legendre_beta_parameters(m):
+    """The Beta(t, s) parameters of alpha_0..alpha_{2m-2}, read-only, as
+    they are shared by every draw at this m."""
+    k = np.arange(2 * m - 1, dtype=float)
+    even = k % 2 == 0
+    s = np.where(even, m - k / 2, (2 * m - k + 1) / 2)
+    t = np.where(even, m - k / 2, (2 * m - k - 1) / 2)
+    s.flags.writeable = t.flags.writeable = False
+    return t, s
+
+
 def _legendre_ensemble(basis, gen):
     """Eigenvalues of the Killip-Nenciu Jacobi matrix model (IMRN 2004,
     Theorem 2) at beta = 2, a = b = 0, mapped from [-2, 2] onto the
     measure's interval. Their law is gamma_m for the uniform weight."""
     m = basis.m
-    k = np.arange(2 * m - 1, dtype=float)
-    even = k % 2 == 0
-    s = np.where(even, m - k / 2, (2 * m - k + 1) / 2)
-    t = np.where(even, m - k / 2, (2 * m - k - 1) / 2)
+    t, s = _legendre_beta_parameters(m)
     # alpha_i sits at index i + 2 for i = -2..2m-1; alpha_{-2} only ever
     # multiplies 1 + alpha_{-1} = 0
     alpha = np.zeros(2 * m + 2)
@@ -249,7 +268,14 @@ def sample_dpp(basis, rng):
     gen, seed = as_rng(rng)
     # the eigenvalues come out sorted; repeated designs keep a prefix
     pts = ensemble(basis, gen)[gen.permutation(basis.m)]
-    return DesignSample(pts, basis.christoffel(pts), "dpp", seed)
+    return _nu_m_design(basis, pts, "dpp", seed)
+
+
+def _nu_m_design(basis, pts, sampler_id, seed):
+    """The design of these points with their feature rows and the weights
+    w_m read from them."""
+    phi = basis.feature_matrix(pts)
+    return DesignSample(pts, christoffel_rows(phi), phi, sampler_id, seed)
 
 
 def _sample_dpp_sequential(basis, rng):
@@ -271,8 +297,7 @@ def _sample_dpp_sequential(basis, rng):
     for _ in range(basis.m):
         x, state = _next_dpp_point(basis, state, gen)
         points.append(x)
-    pts = np.asarray(points)
-    return DesignSample(pts, basis.christoffel(pts), "dpp", seed)
+    return _nu_m_design(basis, np.asarray(points), "dpp", seed)
 
 
 def _next_dpp_point(basis, state, gen):
@@ -304,10 +329,12 @@ def sample_volume(basis, w, n, rng):
     m = basis.m
     if n < m:
         raise UnderdeterminedDesignError(f"volume sampling needs n >= m, got n={n}, m={m}")
-    core = sample_dpp(basis, gen).points
+    core = sample_dpp(basis, gen)
     extra = _sample_from_weight(w, basis, gen, n - m)
-    pts = np.concatenate((core, extra))[gen.permutation(n)]
-    return DesignSample(pts, w.evaluate(basis, pts), "volume", seed)
+    perm = gen.permutation(n)
+    pts = np.concatenate((core.points, extra))[perm]
+    phi = np.concatenate((core.features, basis.feature_matrix(extra)))[perm]
+    return DesignSample(pts, w.evaluate(phi), phi, "volume", seed)
 
 
 def sample_repeated_dpp(basis, n, rng):
@@ -318,8 +345,10 @@ def sample_repeated_dpp(basis, n, rng):
         raise EmptyDesignError("need n >= 1")
     m = basis.m
     r = math.ceil(n / m)
-    pts = np.concatenate([sample_dpp(basis, gen).points for _ in range(r)])[:n]
-    return DesignSample(pts, basis.christoffel(pts), "repeated-dpp", seed)
+    draws = [sample_dpp(basis, gen) for _ in range(r)]
+    pts = np.concatenate([d.points for d in draws])[:n]
+    phi = np.concatenate([d.features for d in draws])[:n]
+    return DesignSample(pts, christoffel_rows(phi), phi, "repeated-dpp", seed)
 
 
 def sample_conditioned(inner, basis, delta, max_attempts=1000, rng=None):
@@ -383,7 +412,8 @@ def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=0.75,
     if scheme in ("iid-mu", "iid-christoffel"):
         w = scheme_weight(scheme)
         pts = _sample_from_weight(w, basis, gen, n)
-        design = DesignSample(pts, w.evaluate(basis, pts), scheme, seed)
+        phi = basis.feature_matrix(pts)
+        design = DesignSample(pts, w.evaluate(phi), phi, scheme, seed)
     elif scheme == "volume":
         w = scheme_weight("volume", alpha)
         design = replace(sample_volume(basis, w, n, gen), seed=seed)

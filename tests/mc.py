@@ -2,10 +2,12 @@
 
 Each helper is a per-replicate function run through the experiment
 harness's replicate runner (`experiments._run_replicates`), with the RNG
-stream ``replicate_stream(seed, replicate, KEY)``. Its output is therefore
-a pure function of (parameters, seed) no matter how replicates are
-chunked across workers. KEY is an arbitrary integer, distinct per helper,
-that keeps draws uncorrelated between helpers sharing a seed.
+stream ``replicate_stream(seed, replicate, KEY)``. The runner hands a job
+function a block of streams at a time, and `_each` applies the helper to
+every stream of the block. Its output is therefore a pure function of
+(parameters, seed) no matter how replicates are chunked across workers.
+KEY is an arbitrary integer, distinct per helper, that keeps draws
+uncorrelated between helpers sharing a seed.
 
 Pools, bases and evaluators come from the harness as well
 (`experiments._worker_pool`, `_get_basis`, `_get_evaluator`): a pool
@@ -27,11 +29,19 @@ from dppls.samplers import (draw_design, make_weight, sample_christoffel,
 _WORKERS = min(8, os.cpu_count() or 1)
 
 
+def _each(fn, *args_and_streams):
+    """The runner's block interface for a per-replicate function: one
+    fn(*args, stream) per stream of the block, its last argument."""
+    *args, streams = args_and_streams
+    return [fn(*args, stream) for stream in streams]
+
+
 def _replicates(fn, args, key, total, seed, workers):
     """[fn(*args, stream) for each of `total` replicate streams] on a pool
     opened for this call."""
     with _worker_pool(workers) as pool:
-        [out] = _run_replicates([(fn, args, (key,))], total, seed, workers, pool)
+        [out] = _run_replicates([(_each, (fn, *args), (key,))], total, seed,
+                                workers, pool)
     return out
 
 

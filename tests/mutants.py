@@ -1,6 +1,8 @@
 """Mutation check: does some test fail when a sampler draws the wrong law?
 
-Each mutant is one exact source replacement in `src/dppls`. The script
+Each mutant is one exact source replacement in `src/dppls`; its `old`
+text must occur exactly once in its file, which `test_mutants.py`
+checks in Tier-1. The script
 copies `src` and `tests` into a temporary directory, runs the mutant's
 test targets there on the unmutated copy once, then applies each mutant
 in a fresh copy and runs its targets again. It prints, per mutant, the
@@ -43,8 +45,11 @@ class Mutant:
 
 MUTANTS = (
     Mutant("volume-no-permutation", "samplers.py",
-           "pts = np.concatenate((core, extra))[gen.permutation(n)]",
-           "pts = np.concatenate((core, extra))"),
+           "perm = gen.permutation(n)",
+           "perm = np.arange(n)"),
+    Mutant("volume-features-not-permuted", "samplers.py",
+           "phi = np.concatenate((core.features, basis.feature_matrix(extra)))[perm]",
+           "phi = np.concatenate((core.features, basis.feature_matrix(extra)))"),
     Mutant("volume-extras-from-mu", "samplers.py",
            "extra = _sample_from_weight(w, basis, gen, n - m)",
            "extra = _sample_from_weight(Weight(0.0), basis, gen, n - m)"),
@@ -65,8 +70,8 @@ MUTANTS = (
            "diag = gen.standard_normal(m)",
            "diag = 1.05 * gen.standard_normal(m)"),
     Mutant("weight-alpha-swapped", "samplers.py",
-           "return self.alpha * basis.christoffel(xs) + (1.0 - self.alpha)",
-           "return (1.0 - self.alpha) * basis.christoffel(xs) + self.alpha"),
+           "return self.alpha * christoffel_rows(phi) + (1.0 - self.alpha)",
+           "return (1.0 - self.alpha) * christoffel_rows(phi) + self.alpha"),
     Mutant("legendre-beta-swapped", "samplers.py",
            "gen.beta(t, s)", "gen.beta(s, t)"),
     Mutant("dpp-no-permutation", "samplers.py",
@@ -78,6 +83,11 @@ MUTANTS = (
     Mutant("mixture-branch-flipped", "samplers.py",
            "pick = gen.random(n) < w.alpha",
            "pick = gen.random(n) >= w.alpha"),
+    Mutant("conjecture-lambda-pair-swapped", "experiments.py",
+           "lam_dpp, lam_iid = np.array(records).T",
+           "lam_iid, lam_dpp = np.array(records).T",
+           ("tests/test_experiments.py",
+            "tests/test_acceptance.py::test_criterion_10_spectral_tail_comparison")),
 )
 
 

@@ -40,3 +40,17 @@ def test_tracer_sees_pooled_replicates_and_restores_names(tracer):
             "samplers.draw_design", "lsq.weighted_lsq_fit",
             "cli.write_csv"} <= names
     assert tracer.counts[("warm", "experiments.pools_started")] == 1
+
+
+def test_tracer_sees_every_conjecture_design(tracer):
+    """The stacked tail-comparison jobs still draw each design through
+    experiments.draw_design, where the traced run captures it: two per
+    replicate, from pooled workers too."""
+    try:
+        tracer.install()
+        experiments.conjecture_check(4, (2.0,), 1000, 5, workers=2,
+                                     out=io.StringIO())
+    finally:
+        tracer.uninstall()
+    names = [span[2] for span in tracer.spans]
+    assert names.count("samplers.draw_design") == 2 * 1000

@@ -154,13 +154,16 @@ for scheme in ("repeated-dpp", "iid-christoffel"):
     sys.stdout = sys.__stdout__
     assert code == 0, scheme
     assert not scipy_modules(), (scheme, scipy_modules())
+# numpy.ma costs 10-15 ms of import; np.unique loads it on first use
+assert "numpy.ma" not in sys.modules
 dppls.StandardGaussian().gauss_quadrature(64)
 assert "scipy.linalg" in sys.modules
 """
 
 
 def test_import_does_not_load_scipy():
-    """The samplers run on numpy alone; scipy is loaded for Gauss rules."""
+    """The samplers run on numpy alone, without numpy.ma; scipy is loaded
+    for Gauss rules."""
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

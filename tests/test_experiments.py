@@ -11,12 +11,15 @@ import pytest
 from scipy.stats import ks_2samp
 
 from dppls import experiments
-from dppls.errors import UnderdeterminedDesignError, ValidationError
+from dppls.bases import make_basis
+from dppls.errors import (SamplerFailureError, UnderdeterminedDesignError,
+                          ValidationError)
 from dppls.experiments import (BLOWUP_CAP, ExperimentConfig, conjecture_check,
                                dump_design, error_histogram, error_table,
                                format_point, minimal_stable_n, stability_map,
                                write_csv)
-from dppls.samplers import replicate_stream
+from dppls.lsq import empirical_gram
+from dppls.samplers import draw_design, replicate_stream
 
 
 def _parse(path_or_text):
@@ -85,16 +88,78 @@ def _shifted_draws(shift, gen):
     return shift + gen.random(), int(gen.integers(1 << 30))
 
 
+def _shifted_block(shift, gens):
+    """Per stream its draws, and the size of the block it came in."""
+    return [(*_shifted_draws(shift, gen), len(gens)) for gen in gens]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_replicate_runner_matches_plain_loop(workers):
-    """Per job, the runner returns fn(*args, stream) for every replicate in
-    order. 23 replicates split into uneven chunks, and the chunks of two
-    jobs must be regrouped without crossing."""
-    jobs = [(_shifted_draws, (0.0,), (4, 8, 1)), (_shifted_draws, (10.0,), (5,))]
+def test_replicate_runner_matches_plain_loop(monkeypatch, workers):
+    """Per job, the runner returns one record per replicate in order, each
+    made from its own stream. 23 replicates split into uneven chunks and
+    blocks of at most BLOCK = 4 streams, and the chunks of two jobs must
+    be regrouped without crossing."""
+    monkeypatch.setattr(experiments, "BLOCK", 4)
+    jobs = [(_shifted_block, (0.0,), (4, 8, 1)), (_shifted_block, (10.0,), (5,))]
     want = [[_shifted_draws(*args, replicate_stream(17, r, *key))
              for r in range(23)] for (_, args, key) in jobs]
     with experiments._worker_pool(workers) as pool:
         got = experiments._run_replicates(jobs, 23, 17, workers, pool)
+    assert [[rec[:2] for rec in recs] for recs in got] == want
+    sizes = [rec[2] for recs in got for rec in recs]
+    assert max(sizes) == 4 and min(sizes) >= 1
+
+
+def _per_design_lambda_mins(family, m, seed, size):
+    basis = make_basis(family, m)
+    out = []
+    for r in range(size):
+        gen = replicate_stream(seed, r)
+        out.append(tuple(
+            empirical_gram(draw_design(s, basis, m, gen), basis).lambda_min
+            for s in ("repeated-dpp", "iid-christoffel")))
+    return out
+
+
+@pytest.mark.parametrize("family, m, size", [
+    ("legendre", 5, 1), ("legendre", 5, 7), ("legendre", 5, 256),
+    ("hermite", 12, 7), ("pwc", 4, 7)])
+def test_block_lambda_min_is_empirical_gram_bit_for_bit(family, m, size):
+    """One stacked eigvalsh over a block's Grams gives each design's
+    lambda_min exactly as `empirical_gram` does on its own."""
+    config = ExperimentConfig(basis_family=family, m_values=(m,),
+                              n_values=(m,), replicates=size)
+    streams = [replicate_stream(19, r) for r in range(size)]
+    got = experiments._conjecture_block(config, m, streams)
+    assert got == _per_design_lambda_mins(family, m, 19, size)
+
+
+@pytest.mark.parametrize("scheme", experiments.STABILITY_SCHEMES)
+def test_stability_block_hits_follow_empirical_gram(monkeypatch, scheme):
+    """Legendre m = 4, n = 8, delta chosen so the block mixes hits and
+    misses; each record is the threshold test on its own design, and
+    every fifth draw fails without disturbing the others."""
+    config = ExperimentConfig(basis_family="legendre", schemes=(scheme,),
+                              m_values=(4,), n_values=(8,), delta=0.8,
+                              replicates=40)
+    basis = make_basis("legendre", 4)
+    want = []
+    for r in range(40):
+        d = draw_design(scheme, basis, 8, replicate_stream(21, r))
+        want.append(("failed", 0.0) if r % 5 == 2 else
+                    ("ok", float(empirical_gram(d, basis).lambda_min >= 0.2)))
+    assert set(want) == {("failed", 0.0), ("ok", 0.0), ("ok", 1.0)}
+
+    def failing_every_fifth(*args, **kwargs):
+        failing_every_fifth.calls += 1
+        if failing_every_fifth.calls % 5 == 3:
+            raise SamplerFailureError("injected")
+        return draw_design(*args, **kwargs)
+
+    failing_every_fifth.calls = 0
+    monkeypatch.setattr(experiments, "draw_design", failing_every_fifth)
+    got = experiments._stability_block(
+        config, 4, 8, scheme, [replicate_stream(21, r) for r in range(40)])
     assert got == want
 
 
@@ -272,6 +337,14 @@ def test_conjecture_check_validations():
         conjecture_check(4, (), 1000, 0)
     with pytest.raises(ValidationError):
         conjecture_check(4, (2.0, -1.0), 1000, 0)
+
+
+def test_conjecture_check_worker_count_invariant():
+    """1000 replicates: one chunk of four blocks at one worker, three
+    chunks that each end in a partial block at three."""
+    rows = [conjecture_check(5, (1.25, 2.0, 4.0), 1000, 23, workers=w,
+                             out=io.StringIO())[1] for w in (1, 3)]
+    assert rows[0] == rows[1]
 
 
 def test_conjecture_check_pwc_trivially_consistent(tmp_path):

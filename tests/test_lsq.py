@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dppls.bases import make_basis
+from dppls import samplers
+from dppls.bases import HermiteBasis, make_basis
 from dppls.errors import (EmptyAggregateError, QuadratureAccuracyError,
                           SingularDesignError, ValidationError)
 from dppls.experiments import TARGETS
@@ -23,8 +24,9 @@ INV_QUAD = TARGETS["inv-quad"].evaluator
 
 def _design(points, basis, weight_kind="christoffel"):
     points = np.asarray(points, dtype=float)
-    w = make_weight(weight_kind).evaluate(basis, points)
-    return DesignSample(points, np.atleast_1d(w), "fixed")
+    phi = basis.feature_matrix(points)
+    return DesignSample(points, make_weight(weight_kind).evaluate(phi), phi,
+                        "fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,40 @@ def test_christoffel_weighting_fixes_trace_at_m():
     g = empirical_gram(_design(pts, b), b)
     assert np.trace(g.matrix) == pytest.approx(5.0, abs=1e-12)
     assert g.lambda_max <= 5.0 + 1e-10
+
+
+def test_gram_and_fit_reject_features_of_another_dimension():
+    d = _design([-0.5, 0.0, 0.5], make_basis("legendre", 3))
+    b = make_basis("legendre", 2)
+    with pytest.raises(ValidationError):
+        empirical_gram(d, b)
+    with pytest.raises(ValidationError):
+        weighted_lsq_fit(np.ones(3), d, b)
+
+
+@pytest.mark.parametrize("scheme, rows", [
+    ("iid-mu", [10]), ("iid-christoffel", [10]), ("volume", [4, 6]),
+    ("repeated-dpp", [4, 4, 4]), ("repeated-dpp-cond", [4, 4, 4])])
+def test_features_evaluated_once_per_drawn_block(monkeypatch, scheme, rows):
+    """One feature evaluation per block of drawn points (each gamma_m
+    draw, the volume extras, an i.i.d. design), per conditioning attempt,
+    and none in the Gram matrix or the fit."""
+    b = make_basis("hermite", 4)
+    samplers._nu_sampler(b)
+    calls = []
+    evaluate = HermiteBasis.feature_matrix
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return evaluate(self, xs)
+
+    monkeypatch.setattr(HermiteBasis, "feature_matrix", counted)
+    d = draw_design(scheme, b, 10, replicate_stream(78, len(scheme)))
+    assert calls == rows * d.attempts
+    calls.clear()
+    empirical_gram(d, b)
+    weighted_lsq_fit(np.cos(d.points), d, b)
+    assert calls == []
 
 
 def test_iid_christoffel_gram_mean_is_identity():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+from dppls import measures
 from dppls.bases import make_basis
 from dppls.errors import (EmptyDesignError, NegativeDensityError,
                           NotADensityError, UnsupportedOrderError)
@@ -204,6 +205,19 @@ def test_flat_density_indistinguishable_from_iid():
     grid_draws = np.array([sampler.sample(rng) for _ in range(10_000)])
     direct = UNIFORM.sample(np.random.default_rng(14), 10_000)
     assert ks_2samp(grid_draws, direct).pvalue > 0.001
+
+
+def test_refined_grid_nodes_are_np_unique_of_the_merged_nodes():
+    """The pwc breakpoints fall on grid nodes, so the merge repeats them;
+    the sort-and-mask dedup keeps what np.unique keeps."""
+    basis = make_basis("pwc", 8)
+    rng = np.random.default_rng(15)
+    x = np.concatenate((np.linspace(0.0, 1.0, 2049), basis.cell_edges(),
+                        rng.random(100), [-0.0, 0.0]))
+    assert np.array_equal(measures._sorted_distinct(x), np.unique(x))
+    nodes, _ = measures.refined_grid(basis.christoffel, basis.measure,
+                                     breakpoints=basis.cell_edges())
+    assert np.all(np.diff(nodes) > 0)
 
 
 def test_grid_sampler_deterministic():

@@ -49,14 +49,15 @@ def test_replicate_stream_distinct_replicates_and_keys():
 def test_unit_weight_is_one():
     b = make_basis("legendre", 3)
     w = make_weight("unit")
-    assert w.evaluate(b, [-0.5, 0.0, 0.5]).tolist() == [1.0, 1.0, 1.0]
+    phi = b.feature_matrix(np.array([-0.5, 0.0, 0.5]))
+    assert w.evaluate(phi).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_christoffel_weight_matches_density():
     b = make_basis("legendre", 3)
     w = make_weight("christoffel")
     xs = np.array([-0.8, 0.1, 0.6])
-    assert np.array_equal(w.evaluate(b, xs), b.christoffel(xs))
+    assert np.array_equal(w.evaluate(b.feature_matrix(xs)), b.christoffel(xs))
 
 
 def test_mixture_weight_formula():
@@ -64,7 +65,7 @@ def test_mixture_weight_formula():
     w = make_weight("mixture", alpha=0.25)
     xs = np.array([-0.8, 0.1, 0.6])
     want = 0.25 * b.christoffel(xs) + 0.75
-    assert np.allclose(w.evaluate(b, xs), want, atol=1e-15)
+    assert np.allclose(w.evaluate(b.feature_matrix(xs)), want, atol=1e-15)
 
 
 def test_christoffel_kind_with_partial_alpha_becomes_mixture():
@@ -95,7 +96,7 @@ def test_mixture_weight_has_unit_mass(alpha):
     b = make_basis("legendre", 4)
     w = make_weight("mixture", alpha=alpha)
     rule = b.measure.gauss_quadrature(b.m + 1)
-    mass = rule.integrate(lambda x: w.evaluate(b, x))
+    mass = rule.integrate(lambda x: w.evaluate(b.feature_matrix(x)))
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
@@ -572,7 +573,39 @@ def test_draw_design_weights_match_scheme(scheme):
     d = draw_design(scheme, b, 6, replicate_stream(50, 0))
     w = scheme_weight(scheme)
     assert d.n == 6
-    assert np.array_equal(d.weights, w.evaluate(b, d.points))
+    assert np.array_equal(d.weights, w.evaluate(b.feature_matrix(d.points)))
+
+
+_FEATURE_BASES = {
+    "hermite": lambda: make_basis("hermite", 4),
+    "legendre": lambda: make_basis("legendre", 4),
+    "pwc": lambda: make_basis("pwc", 4),
+    "legendre-subclass": lambda: _SeqLegendre(4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FEATURE_BASES))
+@pytest.mark.parametrize("scheme, alpha", [(s, 1.0) for s in SCHEMES]
+                         + [("volume", 0.3)])
+def test_design_features_are_its_feature_rows(family, scheme, alpha):
+    """The rows a sampler carries are phi at the design's points, bit for
+    bit: the blocks, the cut to n and the volume permutation keep each
+    row with its point."""
+    b = _FEATURE_BASES[family]()
+    d = draw_design(scheme, b, 10, replicate_stream(79, len(family)),
+                    alpha=alpha)
+    assert np.array_equal(d.features, b.feature_matrix(d.points))
+    assert np.array_equal(d.weights,
+                          scheme_weight(scheme, alpha).evaluate(d.features))
+
+
+def test_design_rejects_features_without_one_row_per_point():
+    pts = np.array([0.1, 0.2, 0.3])
+    phi = make_basis("legendre", 2).feature_matrix(pts)
+    with pytest.raises(ValidationError):
+        samplers.DesignSample(pts, np.ones(3), phi[:2], "fixed")
+    with pytest.raises(ValidationError):
+        samplers.DesignSample(pts, np.ones(3), phi[:, 0], "fixed")
 
 
 def test_draw_design_iid_mu_unit_weights():
