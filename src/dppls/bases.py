@@ -7,6 +7,7 @@ Hermite (standard Gaussian), piecewise constant indicators (uniform).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from dataclasses import dataclass
@@ -75,8 +76,17 @@ class LegendreBasis(FeatureBasis):
         for k in range(1, self.m - 1):
             # standard three-term recurrence on P_k, normalized afterwards
             out[:, k + 1] = ((2 * k + 1) * t * out[:, k] - k * out[:, k - 1]) / (k + 1)
-        out *= np.sqrt(2.0 * np.arange(self.m) + 1.0)
+        out *= _legendre_norms(self.m)
         return out
+
+
+@lru_cache(maxsize=None)
+def _legendre_norms(m):
+    """sqrt(2k + 1) for k < m, read-only, as every evaluation at this m
+    shares them."""
+    norms = np.sqrt(2.0 * np.arange(m) + 1.0)
+    norms.flags.writeable = False
+    return norms
 
 
 class HermiteBasis(FeatureBasis):

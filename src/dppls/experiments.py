@@ -8,12 +8,18 @@ splitting replicates across any number of worker processes cannot change
 a single output byte.
 
 A job function takes a chunk's replicate streams in blocks of at most
-BLOCK and returns one record per stream, in order. The stability and
-tail-comparison jobs draw every design on its own stream, place each
-Gram matrix in one (k, m, m) array and take the block's smallest
-eigenvalues in one stacked eigvalsh; LAPACK treats each matrix on its
-own, so a record does not depend on the block it was computed in. The
-error jobs fit replicate by replicate.
+BLOCK and returns one record per stream, in order. The stability job
+transforms a block in one pass: `samplers.draw_designs` takes each
+stream's random numbers in turn, then draws every design of the block
+with one stacked eigenvalue call, one nu_m inverse and one feature
+evaluation (in sub-blocks of at most BLOCK_ELEMENTS feature values), and
+the job takes the block's Gram matrices and their smallest eigenvalues
+in one stacked call each. The tail-comparison and error jobs draw design
+by design through `samplers.draw_design`; the tail comparison still
+takes its block's smallest eigenvalues in one stacked eigvalsh, and the
+error jobs fit replicate by replicate. Every stacked step treats each
+row or matrix on its own, so a record does not depend on the block it
+was computed in.
 """
 
 import csv
@@ -35,7 +41,7 @@ from .lsq import (ErrorEvaluator, empirical_gram,  # noqa: F401
                   weighted_gram, weighted_lsq_fit)
 from .measures import max_quad_order
 from .samplers import (SCHEMES, canonical_scheme, draw_design,
-                       replicate_stream)
+                       draw_designs, replicate_stream)
 
 BLOWUP_CAP = 1e15
 DEFAULT_M_VALUES = (10, 20, 30, 40, 50)
@@ -45,6 +51,9 @@ STABILITY_SCHEMES = ("iid-mu", "iid-christoffel", "volume", "repeated-dpp")
 # replicate streams per job-function call: enough to spread eigvalsh's
 # per-call cost, few enough that a block's Gram array stays small
 BLOCK = 256
+# feature values (streams x n x m) per stacked draw of a stability block,
+# 2 MB of float64: a block is drawn in sub-blocks of at most this size
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -159,19 +168,24 @@ def _cell_key(m, n, scheme):
 
 def _stability_block(config, m, n, scheme, gens):
     """(status, hit) per stream: whether lambda_min(G^w) >= 1 - delta on
-    its draw. A failed draw leaves its Gram slot at zero."""
+    its draw. The designs are drawn in sub-blocks of at most
+    BLOCK_ELEMENTS feature values; a stream whose draw fails, or whose
+    features or weights are not finite, is a failure and leaves its Gram
+    slot at zero."""
     basis = _get_basis(config.basis_family, m)
     grams = np.zeros((len(gens), m, m))
     ok = np.zeros(len(gens), dtype=bool)
-    for i, gen in enumerate(gens):
+    step = max(1, BLOCK_ELEMENTS // (n * m))
+    for a in range(0, len(gens), step):
+        part = slice(a, a + step)
         try:
-            design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
-                                 delta=config.delta,
-                                 max_attempts=config.max_attempts)
-            grams[i] = weighted_gram(design.features, design.weights)
-            ok[i] = True
+            _, weights, phi = draw_designs(scheme, basis, n, gens[part],
+                                           alpha=config.alpha)
         except DpplsError:
-            pass
+            continue
+        good = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(weights).all(axis=1)
+        ok[part] = good
+        grams[part][good] = weighted_gram(phi[good], weights[good])
     lams = np.linalg.eigvalsh(grams)[:, 0]
     return [("ok", 1.0 if lam >= 1.0 - config.delta else 0.0) if good
             else ("failed", 0.0) for good, lam in zip(ok, lams)]

@@ -53,11 +53,12 @@ def _features(design, basis):
 
 def weighted_gram(phi, w):
     """G^w = (1/n) sum_i w_i^{-1} phi_i phi_i^T, symmetrized, from feature
-    rows phi (n, m) and weights w (n,)."""
+    rows phi (..., n, m) and weights w (..., n); a stack of designs gives
+    the stack of their Gram matrices, each as it would be on its own."""
     if not (np.isfinite(phi).all() and np.isfinite(w).all()):
         raise NumericError("non-finite feature or weight values")
-    G = (phi.T * (1.0 / (w * len(w)))) @ phi
-    return 0.5 * (G + G.T)
+    G = (phi.swapaxes(-1, -2) * (1.0 / (w * w.shape[-1]))[..., None, :]) @ phi
+    return 0.5 * (G + G.swapaxes(-1, -2))
 
 
 def empirical_gram(design, basis):

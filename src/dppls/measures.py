@@ -257,8 +257,13 @@ class GridDensitySampler:
     def sample(self, rng, n=None):
         """Draw n samples (or one scalar if n is None) through the inverse
         CDF, one uniform per sample."""
-        scalar = n is None
-        u = rng.random(1 if scalar else n)
+        out = self.inverse(rng.random(1 if n is None else n))
+        return float(out[0]) if n is None else out
+
+    def inverse(self, u):
+        """The inverse CDF at the uniforms u, a 1-D array; each value
+        depends on its own uniform only, so one call over many designs'
+        uniforms gives each design's draws bit for bit."""
         i = np.searchsorted(self._breaks[1:], u, side="right")
         s = u - self._breaks[i]
         c3, c2, c1, c0 = self._coef
@@ -275,7 +280,7 @@ class GridDensitySampler:
         out += c0
         np.maximum(out, self.nodes[0], out=out)
         np.minimum(out, self.nodes[-1], out=out)
-        return float(out[0]) if scalar else out
+        return out
 
 
 def _pchip_end_slope(h0, h1, m0, m1):

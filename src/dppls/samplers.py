@@ -18,13 +18,25 @@ included, goes through the sequential sampler, which draws each
 conditional by rejection from nu_m and so is exact up to the nu_m
 tabulation.
 
-Every design carries its feature rows phi(x_i), evaluated once per block
-of drawn points (a gamma_m draw, the i.i.d. extras of a volume design,
-an i.i.d. design); its weights are read from those rows.
+Every sampler works in two steps. The numbers step takes one stream's
+random numbers in a fixed order: per gamma_m draw the matrix model's
+normals, gammas or betas (or the sequential sampler's points) and the
+permutation of its eigenvalues, then the i.i.d. draws (branch uniforms,
+nu_m uniforms, mu draws), then a volume design's final permutation. No
+number depends on a computed value. The transform step then runs once
+for any number of streams: one stacked tridiagonal eigvalsh, one nu_m
+inverse over all uniforms, one feature evaluation over all points and
+one weight evaluation, each a function of its own row only. So
+`draw_designs` over k streams gives row by row, bit for bit, what
+`draw_design` gives on each stream, and `draw_design`, `sample_dpp`,
+`sample_volume` and `sample_repeated_dpp` are its k = 1 case. Every
+design carries its feature rows phi(x_i), and its weights are read once
+from them.
 """
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from dataclasses import dataclass, replace
@@ -32,7 +44,7 @@ from dataclasses import dataclass, replace
 from .bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
                     christoffel_rows, empty_rotation, extend_rotation)
 from .errors import (ConditioningFailureError, DegeneratePointError,
-                     EmptyDesignError, SamplerFailureError,
+                     DpplsError, EmptyDesignError, SamplerFailureError,
                      UnderdeterminedDesignError, ValidationError)
 # GridDensitySampler and refined_grid are unused here but stay importable:
 # the benchmark's tracer wraps them, with build_density_sampler, under this
@@ -153,7 +165,7 @@ def _nu_sampler(basis):
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: per-stream numbers, then one transform per block
 
 def sample_christoffel(basis, rng, n=None):
     """Draws from nu_m = w_m mu through the basis's one tabulated inverse
@@ -163,44 +175,74 @@ def sample_christoffel(basis, rng, n=None):
     return _nu_sampler(basis).sample(gen, n)
 
 
-def _sample_from_weight(w, basis, gen, n):
-    """n i.i.d. draws from nu = w mu. A mixture, 0 < alpha < 1, takes n
-    branch uniforms, then draws its nu_m block and its mu block."""
-    if n == 0:
-        return np.empty(0)
-    if w.alpha == 0.0:
-        return basis.measure.sample(gen, n)
+def _iid_numbers(w, basis, gen, n):
+    """The numbers of n i.i.d. draws from nu = w mu: which points come from
+    nu_m, their uniforms in order, and the mu draws of the others. A
+    mixture, 0 < alpha < 1, takes n branch uniforms first; alpha = 1
+    draws no mu block and alpha = 0 no uniforms."""
     if w.alpha == 1.0:
-        return sample_christoffel(basis, gen, n)
+        return None, gen.random(n), None
+    if w.alpha == 0.0:
+        return None, None, basis.measure.sample(gen, n)
     pick = gen.random(n) < w.alpha
-    k = int(pick.sum())
-    pts = np.empty(n)
-    pts[pick] = _sample_from_weight(Weight(1.0), basis, gen, k)
-    pts[~pick] = _sample_from_weight(Weight(0.0), basis, gen, n - k)
+    k = int(np.count_nonzero(pick))
+    u = gen.random(k)
+    return pick, u, basis.measure.sample(gen, n - k) if k < n else np.empty(0)
+
+
+def _iid_points(basis, numbers):
+    """The (k, n) points of k streams' `_iid_numbers` (of one weight), with
+    all their nu_m uniforms inverted in one call."""
+    picks, us, mus = zip(*numbers)
+    if us[0] is None:
+        return np.array(mus)
+    nu = _nu_sampler(basis).inverse(us[0] if len(us) == 1 else np.concatenate(us))
+    if picks[0] is None:
+        return nu.reshape(len(us), -1)
+    pick = np.array(picks)
+    pts = np.empty(pick.shape)
+    pts[pick] = nu
+    pts[~pick] = np.concatenate(mus)
     return pts
 
 
 def _tridiagonal_eigvalsh(diag, off):
-    """Ascending eigenvalues of the symmetric tridiagonal matrix with this
-    diagonal and off-diagonal, by LAPACK dsyevd on the dense lower
-    triangle. Its reduction leaves a tridiagonal matrix as it is, so it
-    runs dsterf on the input itself, in numpy and without scipy."""
-    m = diag.size
-    a = np.zeros((m, m))
-    a.flat[::m + 1] = diag
-    a.flat[m::m + 1] = off
+    """Ascending eigenvalues of the symmetric tridiagonal matrices with
+    these diagonals (k, m) and off-diagonals (k, m - 1), or of one such
+    matrix, by LAPACK dsyevd on each dense lower triangle. Its reduction
+    leaves a tridiagonal matrix as it is, so it runs dsterf on the input
+    itself, in numpy and without scipy; a stack is solved matrix by
+    matrix."""
+    m = diag.shape[-1]
+    a = np.zeros(diag.shape + (m,))
+    flat = a.reshape(-1, m * m)
+    flat[:, ::m + 1] = diag
+    flat[:, m::m + 1] = off
     return np.linalg.eigvalsh(a)
 
 
-def _hermite_ensemble(basis, gen):
-    """Eigenvalues of the beta = 2 Hermite matrix model (Dumitriu and
-    Edelman 2002): diagonal i.i.d. N(0, 1), off-diagonal sqrt(chi^2_{2k}/2)
-    for k = m-1, ..., 1. Their law is gamma_m for weight exp(-x^2/2)."""
+@lru_cache(maxsize=None)
+def _hermite_gamma_shapes(m):
+    """The Gamma shapes k = m-1, ..., 1 of the off-diagonal, read-only, as
+    they are shared by every draw at this m."""
+    k = np.arange(m - 1, 0, -1, dtype=float)
+    k.flags.writeable = False
+    return k
+
+
+def _hermite_numbers(basis, gen):
+    """The beta = 2 Hermite matrix model (Dumitriu and Edelman 2002):
+    diagonal i.i.d. N(0, 1), off-diagonal sqrt(chi^2_{2k}/2) for
+    k = m-1, ..., 1. Their eigenvalues have law gamma_m for weight
+    exp(-x^2/2)."""
     m = basis.m
     diag = gen.standard_normal(m)
     # chi^2_{2k} / 2 is Gamma(k, 1)
-    off = np.sqrt(gen.standard_gamma(np.arange(m - 1, 0, -1, dtype=float)))
-    return _tridiagonal_eigvalsh(diag, off)
+    return diag, gen.standard_gamma(_hermite_gamma_shapes(m))
+
+
+def _hermite_eigenvalues(basis, diag, gamma):
+    return _tridiagonal_eigvalsh(diag, np.sqrt(gamma))
 
 
 @lru_cache(maxsize=None)
@@ -215,71 +257,87 @@ def _legendre_beta_parameters(m):
     return t, s
 
 
-def _legendre_ensemble(basis, gen):
-    """Eigenvalues of the Killip-Nenciu Jacobi matrix model (IMRN 2004,
-    Theorem 2) at beta = 2, a = b = 0, mapped from [-2, 2] onto the
-    measure's interval. Their law is gamma_m for the uniform weight."""
-    m = basis.m
-    t, s = _legendre_beta_parameters(m)
-    # alpha_i sits at index i + 2 for i = -2..2m-1; alpha_{-2} only ever
-    # multiplies 1 + alpha_{-1} = 0
-    alpha = np.zeros(2 * m + 2)
-    alpha[1] = alpha[-1] = -1.0
-    alpha[2:-1] = 2.0 * gen.beta(t, s) - 1.0
-    odd = alpha[1::2]            # alpha_{2j-1}, j = 0..m
-    cur = alpha[2::2]            # alpha_{2j},   j = 0..m-1
-    prev = alpha[0:-2:2]         # alpha_{2j-2}, j = 0..m-1
-    diag = (1.0 - odd[:-1]) * cur - (1.0 + odd[:-1]) * prev
-    off = np.sqrt((1.0 - odd[:-2]) * (1.0 - cur[:-1] ** 2) * (1.0 + odd[1:-1]))
-    eig = 0.5 * _tridiagonal_eigvalsh(diag, off)
+def _legendre_numbers(basis, gen):
+    """The Killip-Nenciu Jacobi matrix model (IMRN 2004, Theorem 2) at
+    beta = 2, a = b = 0: Beta-distributed Verblunsky coefficients. Their
+    eigenvalues, mapped from [-2, 2] onto the measure's interval, have law
+    gamma_m for the uniform weight."""
+    t, s = _legendre_beta_parameters(basis.m)
+    return (gen.beta(t, s),)
+
+
+def _legendre_eigenvalues(basis, beta):
+    k, m = len(beta), basis.m
+    # per draw, alpha_i sits at column i + 2 for i = -2..2m-1; alpha_{-2}
+    # only ever multiplies 1 + alpha_{-1} = 0. The rows lie end to end,
+    # with two spare zeros, so each step below is one 1-D operation over
+    # the stack; the last of each row's m + 1 results straddles two rows
+    # and is dropped
+    alpha = np.zeros(k * (2 * m + 2) + 2)
+    rows = alpha[:-2].reshape(k, 2 * m + 2)
+    rows[:, 1] = rows[:, -1] = -1.0
+    rows[:, 2:-1] = 2.0 * beta - 1.0
+    prev, odd = alpha[0::2], alpha[1::2]   # alpha_{2j-2}, alpha_{2j-1}
+    cur = prev[1:]                         # alpha_{2j}
+    down = 1.0 - odd[:-1]
+    diag = down * cur - (1.0 + odd[:-1]) * prev[:-1]
+    off = np.sqrt(down * (1.0 - cur ** 2) * (1.0 + odd[1:]))
+    eig = 0.5 * _tridiagonal_eigvalsh(diag.reshape(k, m + 1)[:, :m],
+                                      off.reshape(k, m + 1)[:, :m - 1])
     a, b = basis.measure.a, basis.measure.b
     return np.clip(0.5 * (a + b) + 0.5 * (b - a) * eig, a, b)
 
 
-def _pwc_ensemble(basis, gen):
+def _pwc_numbers(basis, gen):
     """One uniform point in each of the m cells."""
-    m = basis.m
+    return (gen.random(basis.m),)
+
+
+def _pwc_eigenvalues(basis, u):
     a, b = basis.measure.a, basis.measure.b
-    return a + (b - a) * (np.arange(m) + gen.random(m)) / m
+    return a + (b - a) * (np.arange(basis.m) + u) / basis.m
 
 
-# matched on the exact type: a subclass may change the features, and with
-# them the law, so it keeps the sequential sampler
+# (numbers, eigenvalues) per family: one draw's random numbers from its
+# stream, then the sorted points of a (K, ...) stack of them. Matched on
+# the exact type: a subclass may change the features, and with them the
+# law, so it keeps the sequential sampler
 _EXACT_DPP = {
-    HermiteBasis: _hermite_ensemble,
-    LegendreBasis: _legendre_ensemble,
-    PiecewiseConstantBasis: _pwc_ensemble,
+    HermiteBasis: (_hermite_numbers, _hermite_eigenvalues),
+    LegendreBasis: (_legendre_numbers, _legendre_eigenvalues),
+    PiecewiseConstantBasis: (_pwc_numbers, _pwc_eigenvalues),
 }
 
 
-def sample_dpp(basis, rng):
-    """Draw of m points from the projection DPP gamma_m.
+def _dpp_numbers(basis, gen):
+    """One gamma_m draw's numbers: the matrix model's and the permutation
+    that orders its eigenvalues, or the points of the sequential sampler
+    for a basis without a model."""
+    model = _EXACT_DPP.get(type(basis))
+    if model is None:
+        return (_sample_dpp_sequential(basis, gen),)
+    return model[0](basis, gen) + (gen.permutation(basis.m),)
 
-    For exactly HermiteBasis, LegendreBasis and PiecewiseConstantBasis the
-    draw is exact: the eigenvalues of the family's random tridiagonal
-    matrix model (one uniform point per cell for piecewise constants), in
-    a uniformly random order. Any other basis, subclasses included, uses
-    the sequential sampler `_sample_dpp_sequential`, which draws by
-    rejection from nu_m and is exact up to the nu_m tabulation.
-    """
-    ensemble = _EXACT_DPP.get(type(basis))
-    if ensemble is None:
-        return _sample_dpp_sequential(basis, rng)
-    gen, seed = as_rng(rng)
+
+def _dpp_points(basis, numbers):
+    """The (K, m) points of K gamma_m draws from their stacked numbers: one
+    eigenvalue call for the stack, each row then in its drawn order."""
+    model = _EXACT_DPP.get(type(basis))
+    if model is None:
+        return numbers[0]
+    *model_numbers, perm = numbers
+    eig = model[1](basis, *model_numbers)
     # the eigenvalues come out sorted; repeated designs keep a prefix
-    pts = ensemble(basis, gen)[gen.permutation(basis.m)]
-    return _nu_m_design(basis, pts, "dpp", seed)
+    return _rows_permuted(eig, perm)
 
 
-def _nu_m_design(basis, pts, sampler_id, seed):
-    """The design of these points with their feature rows and the weights
-    w_m read from them."""
-    phi = basis.feature_matrix(pts)
-    return DesignSample(pts, christoffel_rows(phi), phi, sampler_id, seed)
+def _rows_permuted(a, perm):
+    """Row i of `a` (k, n) in the order of row i of `perm`."""
+    return a[np.arange(len(a))[:, None], perm]
 
 
 def _sample_dpp_sequential(basis, rng):
-    """Draw of m points from the projection DPP gamma_m for any basis.
+    """The m points of a projection DPP gamma_m draw for any basis.
 
     Chain rule: x_k follows the density
     p_k(x) = ||phi(x) - P_{W_{k-1}} phi(x)||^2 / (m - k + 1) w.r.t. mu,
@@ -291,13 +349,13 @@ def _sample_dpp_sequential(basis, rng):
     accepts no point within DPP_PROPOSAL_BUDGET proposals raises
     SamplerFailureError.
     """
-    gen, seed = as_rng(rng)
+    gen, _ = as_rng(rng)
     state = empty_rotation(basis.m)
     points = []
     for _ in range(basis.m):
         x, state = _next_dpp_point(basis, state, gen)
         points.append(x)
-    return _nu_m_design(basis, np.asarray(points), "dpp", seed)
+    return np.asarray(points)
 
 
 def _next_dpp_point(basis, state, gen):
@@ -320,35 +378,92 @@ def _next_dpp_point(basis, state, gen):
         f"no point accepted in {DPP_PROPOSAL_BUDGET} proposals at step {state.k + 1}")
 
 
+class _Layout(NamedTuple):
+    """How an n-point design is drawn: `draws` gamma_m draws, i.i.d. draws
+    from `weight` mu for the points they leave, the first n points kept
+    and, for volume designs, a uniformly random permutation of them."""
+
+    n: int
+    draws: int
+    weight: Weight
+    permute: bool = False
+
+    def numbers(self, basis, gen):
+        """One stream's random numbers, in the order its design takes
+        them."""
+        dpp = [_dpp_numbers(basis, gen) for _ in range(self.draws)]
+        extra = self.n - self.draws * basis.m
+        iid = _iid_numbers(self.weight, basis, gen, extra) if extra > 0 else None
+        return dpp, iid, gen.permutation(self.n) if self.permute else None
+
+    def transform(self, basis, numbers):
+        """The points (k, n), weights (k n,) and feature rows (k n, m) of k
+        streams' numbers, each step one call for the whole stack."""
+        k, m = len(numbers), basis.m
+        dpp, iid, perms = zip(*numbers)
+        extra = self.n - self.draws * m
+        if extra > 0:
+            pts = _iid_points(basis, iid)
+        if self.draws:
+            stacked = [np.array(c) for c in zip(*(d for draws in dpp for d in draws))]
+            drawn = _dpp_points(basis, stacked).reshape(k, self.draws * m)
+            pts = np.concatenate((drawn, pts), axis=1) if extra > 0 else drawn[:, :self.n]
+        if self.permute:
+            pts = _rows_permuted(pts, np.array(perms))
+        phi = basis.feature_matrix(pts.ravel())
+        return pts, self.weight.evaluate(phi), phi
+
+    def design(self, basis, rng, sampler_id):
+        """The design of one stream, the k = 1 case of the block."""
+        gen, seed = as_rng(rng)
+        pts, w, phi = self.transform(basis, [self.numbers(basis, gen)])
+        return DesignSample(pts[0], w, phi, sampler_id, seed)
+
+
+def _layout(scheme, basis, n, w):
+    """The _Layout of an n-point design under an unconditioned scheme with
+    weight w."""
+    m = basis.m
+    if n < 1:
+        raise EmptyDesignError("need n >= 1")
+    if scheme in ("iid-mu", "iid-christoffel"):
+        return _Layout(n, 0, w)
+    if scheme == "volume":
+        if n < m:
+            raise UnderdeterminedDesignError(
+                f"volume sampling needs n >= m, got n={n}, m={m}")
+        return _Layout(n, 1, w, permute=True)
+    if scheme == "repeated-dpp":
+        return _Layout(n, math.ceil(n / m), w)
+    raise ValidationError(f"no unconditioned scheme {scheme!r}")
+
+
+def sample_dpp(basis, rng):
+    """Draw of m points from the projection DPP gamma_m.
+
+    For exactly HermiteBasis, LegendreBasis and PiecewiseConstantBasis the
+    draw is exact: the eigenvalues of the family's random tridiagonal
+    matrix model (one uniform point per cell for piecewise constants), in
+    a uniformly random order. Any other basis, subclasses included, uses
+    the sequential sampler `_sample_dpp_sequential`, which draws by
+    rejection from nu_m and is exact up to the nu_m tabulation.
+    """
+    return _Layout(basis.m, 1, Weight(1.0)).design(basis, rng, "dpp")
+
+
 def sample_volume(basis, w, n, rng):
     """Exact draw from the generalized volume distribution gamma_n^nu with
     nu = w mu: one gamma_m draw, n - m i.i.d. draws from nu, and a uniform
     random permutation of the concatenation. With w = w_m this is the
     volume-rescaled distribution gamma_n^{nu_m}."""
-    gen, seed = as_rng(rng)
-    m = basis.m
-    if n < m:
-        raise UnderdeterminedDesignError(f"volume sampling needs n >= m, got n={n}, m={m}")
-    core = sample_dpp(basis, gen)
-    extra = _sample_from_weight(w, basis, gen, n - m)
-    perm = gen.permutation(n)
-    pts = np.concatenate((core.points, extra))[perm]
-    phi = np.concatenate((core.features, basis.feature_matrix(extra)))[perm]
-    return DesignSample(pts, w.evaluate(phi), phi, "volume", seed)
+    return _layout("volume", basis, n, w).design(basis, rng, "volume")
 
 
 def sample_repeated_dpp(basis, n, rng):
     """ceil(n/m) independent gamma_m draws, keeping the first n points;
     weights are taken from w_m."""
-    gen, seed = as_rng(rng)
-    if n < 1:
-        raise EmptyDesignError("need n >= 1")
-    m = basis.m
-    r = math.ceil(n / m)
-    draws = [sample_dpp(basis, gen) for _ in range(r)]
-    pts = np.concatenate([d.points for d in draws])[:n]
-    phi = np.concatenate([d.features for d in draws])[:n]
-    return DesignSample(pts, christoffel_rows(phi), phi, "repeated-dpp", seed)
+    return _layout("repeated-dpp", basis, n, Weight(1.0)).design(
+        basis, rng, "repeated-dpp")
 
 
 def sample_conditioned(inner, basis, delta, max_attempts=1000, rng=None):
@@ -405,25 +520,42 @@ def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=0.75,
     so the same call regenerates the design bit for bit.
     """
     scheme = canonical_scheme(scheme)
+    w = scheme_weight(scheme, alpha)
+    if scheme != "repeated-dpp-cond":
+        return _layout(scheme, basis, n, w).design(basis, rng, scheme)
     gen, seed = as_rng(rng)
-    if n < 1:
-        raise EmptyDesignError("need n >= 1")
+    design = sample_conditioned(lambda g: sample_repeated_dpp(basis, n, g),
+                                basis, delta, max_attempts, gen)
+    return replace(design, sampler_id=scheme, seed=seed)
 
-    if scheme in ("iid-mu", "iid-christoffel"):
-        w = scheme_weight(scheme)
-        pts = _sample_from_weight(w, basis, gen, n)
-        phi = basis.feature_matrix(pts)
-        design = DesignSample(pts, w.evaluate(phi), phi, scheme, seed)
-    elif scheme == "volume":
-        w = scheme_weight("volume", alpha)
-        design = replace(sample_volume(basis, w, n, gen), seed=seed)
-    elif scheme == "repeated-dpp":
-        design = replace(sample_repeated_dpp(basis, n, gen), seed=seed)
-    elif scheme == "repeated-dpp-cond":
-        design = sample_conditioned(
-            lambda g: sample_repeated_dpp(basis, n, g), basis,
-            delta, max_attempts, gen)
-        design = replace(design, sampler_id="repeated-dpp-cond", seed=seed)
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    return design
+
+def draw_designs(scheme, basis, n, gens, *, alpha=1.0):
+    """One design per stream under an unconditioned scheme, stacked:
+    points (k, n), weights (k, n) and features (k, n, m).
+
+    Each stream's random numbers are drawn first, in the order
+    `draw_design` takes them, and each transform then runs once for the
+    block, so row i equals draw_design(scheme, basis, n, gens[i],
+    alpha=alpha) bit for bit. A stream whose draw raises a DpplsError has
+    NaN rows and leaves the other rows unchanged.
+    """
+    scheme = canonical_scheme(scheme)
+    layout = _layout(scheme, basis, n, scheme_weight(scheme, alpha))
+    numbers, ok = [], np.zeros(len(gens), dtype=bool)
+    for i, gen in enumerate(gens):
+        try:
+            numbers.append(layout.numbers(basis, gen))
+            ok[i] = True
+        except DpplsError:
+            pass
+    block = ()
+    if numbers:
+        pts, w, phi = layout.transform(basis, numbers)
+        block = pts, w.reshape(-1, n), phi.reshape(-1, n, basis.m)
+        if ok.all():
+            return block
+    full = (np.full((len(gens), n), np.nan), np.full((len(gens), n), np.nan),
+            np.full((len(gens), n, basis.m), np.nan))
+    for rows, part in zip(full, block):
+        rows[ok] = part
+    return full

@@ -45,14 +45,16 @@ class Mutant:
 
 MUTANTS = (
     Mutant("volume-no-permutation", "samplers.py",
-           "perm = gen.permutation(n)",
-           "perm = np.arange(n)"),
+           "gen.permutation(self.n) if self.permute",
+           "np.arange(self.n) if self.permute"),
     Mutant("volume-features-not-permuted", "samplers.py",
-           "phi = np.concatenate((core.features, basis.feature_matrix(extra)))[perm]",
-           "phi = np.concatenate((core.features, basis.feature_matrix(extra)))"),
+           "            pts = _rows_permuted(pts, np.array(perms))\n"
+           "        phi = basis.feature_matrix(pts.ravel())",
+           "            drawn, pts = pts, _rows_permuted(pts, np.array(perms))\n"
+           "        phi = basis.feature_matrix((drawn if self.permute else pts).ravel())"),
     Mutant("volume-extras-from-mu", "samplers.py",
-           "extra = _sample_from_weight(w, basis, gen, n - m)",
-           "extra = _sample_from_weight(Weight(0.0), basis, gen, n - m)"),
+           "_iid_numbers(self.weight, basis, gen, extra)",
+           "_iid_numbers(Weight(0.0) if self.permute else self.weight, basis, gen, extra)"),
     Mutant("coarse-nu-table", "samplers.py",
            "breakpoints=breaks)",
            "breakpoints=breaks, initial_cells=64, max_cell_mass=0.05)"),
@@ -75,14 +77,20 @@ MUTANTS = (
     Mutant("legendre-beta-swapped", "samplers.py",
            "gen.beta(t, s)", "gen.beta(s, t)"),
     Mutant("dpp-no-permutation", "samplers.py",
-           "pts = ensemble(basis, gen)[gen.permutation(basis.m)]",
-           "pts = ensemble(basis, gen)"),
+           "return _rows_permuted(eig, perm)",
+           "return eig"),
     Mutant("hermite-chi-dof-halved", "samplers.py",
-           "gen.standard_gamma(np.arange(m - 1, 0, -1, dtype=float))",
-           "gen.standard_gamma(np.arange(m - 1, 0, -1, dtype=float) / 2)"),
+           "k = np.arange(m - 1, 0, -1, dtype=float)",
+           "k = np.arange(m - 1, 0, -1, dtype=float) / 2"),
     Mutant("mixture-branch-flipped", "samplers.py",
            "pick = gen.random(n) < w.alpha",
            "pick = gen.random(n) >= w.alpha"),
+    Mutant("block-eigenvalue-rows-rolled", "samplers.py",
+           "eig = model[1](basis, *model_numbers)",
+           "eig = np.roll(model[1](basis, *model_numbers), 1, axis=0)"),
+    Mutant("block-nu-uniforms-reversed", "samplers.py",
+           "else np.concatenate(us))",
+           "else np.concatenate(us[::-1]))"),
     Mutant("conjecture-lambda-pair-swapped", "experiments.py",
            "lam_dpp, lam_iid = np.array(records).T",
            "lam_iid, lam_dpp = np.array(records).T",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from dppls import experiments
+from dppls import experiments, samplers
 from dppls.bases import make_basis
 from dppls.errors import (SamplerFailureError, UnderdeterminedDesignError,
                           ValidationError)
@@ -134,33 +134,73 @@ def test_block_lambda_min_is_empirical_gram_bit_for_bit(family, m, size):
     assert got == _per_design_lambda_mins(family, m, 19, size)
 
 
+def _stability_want(scheme, seed, total):
+    """Per stream the threshold test lambda_min >= 0.2 on its own design
+    (Legendre m = 4, n = 8)."""
+    basis = make_basis("legendre", 4)
+    return [("ok", float(empirical_gram(
+                draw_design(scheme, basis, 8, replicate_stream(seed, r)),
+                basis).lambda_min >= 0.2)) for r in range(total)]
+
+
+def _stability_config(scheme, replicates):
+    return ExperimentConfig(basis_family="legendre", schemes=(scheme,),
+                            m_values=(4,), n_values=(8,), delta=0.8,
+                            replicates=replicates)
+
+
 @pytest.mark.parametrize("scheme", experiments.STABILITY_SCHEMES)
 def test_stability_block_hits_follow_empirical_gram(monkeypatch, scheme):
     """Legendre m = 4, n = 8, delta chosen so the block mixes hits and
     misses; each record is the threshold test on its own design, and
-    every fifth draw fails without disturbing the others."""
-    config = ExperimentConfig(basis_family="legendre", schemes=(scheme,),
-                              m_values=(4,), n_values=(8,), delta=0.8,
-                              replicates=40)
-    basis = make_basis("legendre", 4)
-    want = []
-    for r in range(40):
-        d = draw_design(scheme, basis, 8, replicate_stream(21, r))
-        want.append(("failed", 0.0) if r % 5 == 2 else
-                    ("ok", float(empirical_gram(d, basis).lambda_min >= 0.2)))
+    every fifth draw fails without disturbing the others. The failures
+    are injected where the block draws a stream's numbers."""
+    config = _stability_config(scheme, 40)
+    want = [("failed", 0.0) if r % 5 == 2 else rec
+            for r, rec in enumerate(_stability_want(scheme, 21, 40))]
     assert set(want) == {("failed", 0.0), ("ok", 0.0), ("ok", 1.0)}
+
+    numbers = samplers._Layout.numbers
 
     def failing_every_fifth(*args, **kwargs):
         failing_every_fifth.calls += 1
         if failing_every_fifth.calls % 5 == 3:
             raise SamplerFailureError("injected")
-        return draw_design(*args, **kwargs)
+        return numbers(*args, **kwargs)
 
     failing_every_fifth.calls = 0
-    monkeypatch.setattr(experiments, "draw_design", failing_every_fifth)
+    monkeypatch.setattr(samplers._Layout, "numbers", failing_every_fifth)
     got = experiments._stability_block(
         config, 4, 8, scheme, [replicate_stream(21, r) for r in range(40)])
     assert got == want
+
+
+@pytest.mark.parametrize("scheme", experiments.STABILITY_SCHEMES)
+def test_stability_block_records_do_not_depend_on_element_budget(
+        monkeypatch, scheme):
+    """A block drawn one stream at a time, or three at a time with a
+    remainder, gives the records of one stacked draw; a stream whose
+    features are not finite fails alone."""
+    config = _stability_config(scheme, 10)
+    want = _stability_want(scheme, 22, 10)
+    want[4] = ("failed", 0.0)
+    streams = {}
+    draw_designs = experiments.draw_designs
+
+    def non_finite_fifth(*args, **kwargs):
+        points, weights, phi = draw_designs(*args, **kwargs)
+        for i, gen in enumerate(args[3]):
+            if streams[id(gen)] == 4:
+                phi[i, 3, 1] = np.inf
+        return points, weights, phi
+
+    monkeypatch.setattr(experiments, "draw_designs", non_finite_fifth)
+    for budget in (1, 3 * 8 * 4, experiments.BLOCK_ELEMENTS):
+        monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", budget)
+        gens = [replicate_stream(22, r) for r in range(10)]
+        streams.update((id(gen), r) for r, gen in enumerate(gens))
+        got = experiments._stability_block(config, 4, 8, scheme, gens)
+        assert got == want, budget
 
 
 # ---------------------------------------------------------------------------

@@ -308,3 +308,20 @@ def test_inverse_cdf_scalar_draws_match_scipy_pchip():
     got = [sampler.sample(rng) for _ in range(50)]
     assert all(type(x) is float for x in got)
     assert np.array(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _nu_sampler(make_basis("hermite", 10)),
+    lambda: _nu_sampler(make_basis("legendre", 20)),
+    _gapped_sampler, _single_cell_runs_sampler,
+], ids=["hermite-10", "legendre-20", "gaps", "two-knot-runs"])
+def test_inverse_at_uniforms_equals_sample_on_them(build):
+    """`inverse(u)` is `sample` on the same uniforms, bit for bit, and
+    one call over a concatenation equals one call per part."""
+    sampler = build()
+    u = np.random.default_rng(93).random(1000)
+    got = sampler.inverse(u)
+    assert got.tobytes() == sampler.sample(_GivenUniforms(u), u.size).tobytes()
+    parts = np.concatenate([sampler.inverse(p) for p in np.split(u, [1, 7, 500])])
+    assert got.tobytes() == parts.tobytes()
+    assert sampler.inverse(u[:0]).shape == (0,)

@@ -15,10 +15,9 @@ from dppls import measures, samplers
 from dppls.experiments import TARGETS
 from dppls.lsq import ErrorEvaluator, _rule_for, empirical_gram
 from dppls.measures import UniformInterval
-from dppls.samplers import (SCHEMES, Weight, _hermite_ensemble,
-                            _legendre_ensemble, _sample_dpp_sequential,
-                            _sample_from_weight, canonical_scheme,
-                            draw_design, make_weight, replicate_stream,
+from dppls.samplers import (SCHEMES, Weight, _sample_dpp_sequential,
+                            canonical_scheme, draw_design, draw_designs,
+                            make_weight, replicate_stream,
                             sample_christoffel, sample_conditioned,
                             sample_dpp, sample_repeated_dpp, sample_volume,
                             scheme_weight)
@@ -100,10 +99,15 @@ def test_mixture_weight_has_unit_mass(alpha):
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+def _iid_draws(w, b, rng, n):
+    """n i.i.d. draws from nu = w mu on one stream: its numbers, then
+    their points."""
+    return samplers._iid_points(b, [samplers._iid_numbers(w, b, rng, n)])[0]
+
+
 def _mixture_points(w, b, rng, count):
     """`count` single draws from nu = w mu, one call each."""
-    return np.array([_sample_from_weight(w, b, rng, 1)[0]
-                     for _ in range(count)])
+    return np.array([_iid_draws(w, b, rng, 1)[0] for _ in range(count)])
 
 
 def test_mixture_h_sampler_cache_does_not_outlive_its_basis():
@@ -247,7 +251,7 @@ def test_dpp_subclass_takes_sequential_path():
     a = sample_dpp(_SeqHermite(4), replicate_stream(57, 0))
     b = _sample_dpp_sequential(HermiteBasis(4), replicate_stream(57, 0))
     c = sample_dpp(HermiteBasis(4), replicate_stream(57, 0))
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.points, b)
     assert not np.array_equal(a.points, c.points)
 
 
@@ -347,8 +351,8 @@ def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
     """The matrix models take their eigenvalues from
     `samplers._tridiagonal_eigvalsh` (numpy's dsyevd, which runs dsterf),
     the Gauss rules from scipy's `eigvalsh_tridiagonal` with a pinned
-    driver. On the models' own matrices the helper equals scipy's 'sterf'
-    bit for bit, and 'stemr' differs by rounding only; forcing 'stemr'
+    driver. On the models' own matrices, drawn as stacks of 200, the
+    helper equals scipy's 'sterf' matrix by matrix and bit for bit, and 'stemr' differs by rounding only; forcing 'stemr'
     into the Gauss rules moves the Hermite m = 10 best error by rounding
     only."""
     import scipy.linalg
@@ -363,22 +367,24 @@ def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
     matrices = []
 
     def recording(diag, off):
-        matrices.append((diag, off))
-        return helper(diag, off)
+        eig = helper(diag, off)
+        matrices.append((diag, off, eig))
+        return eig
 
     with monkeypatch.context() as patch:
         patch.setattr(samplers, "_tridiagonal_eigvalsh", recording)
-        for ensemble, family in ((_hermite_ensemble, "hermite"),
-                                 (_legendre_ensemble, "legendre")):
+        for family in ("hermite", "legendre"):
             for m in (2, 10, 50):
                 basis = make_basis(family, m)
-                for rep in range(200):
-                    ensemble(basis, replicate_stream(81, m, rep))
+                draw_designs("repeated-dpp", basis, m,
+                             [replicate_stream(81, m, rep) for rep in range(200)])
+    assert len(matrices) == 6
+    matrices = [row for stack in matrices for row in zip(*stack)]
     assert len(matrices) == 1200
-    for diag, off in matrices:
+    for diag, off, stacked in matrices:
         eig = helper(diag, off)
         sterf = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
-        assert eig.tobytes() == sterf.tobytes()
+        assert eig.tobytes() == sterf.tobytes() == stacked.tobytes()
         assert np.all(np.abs(stemr(diag, off) - eig) <= 1e-12 * np.abs(eig).max())
 
     def best_rel_error():
@@ -534,8 +540,7 @@ def test_mixture_tiny_alpha_close_to_mu():
 def test_mixture_batch_cdf():
     """The batched mixture: branch uniforms, then a nu_m and a mu block."""
     b = make_basis("legendre", 6)
-    xs = _sample_from_weight(Weight(0.3), b, replicate_stream(68, 0),
-                             200_000)
+    xs = _iid_draws(Weight(0.3), b, replicate_stream(68, 0), 200_000)
     assert kstest(xs, oracles.mixture_cdf("legendre", 6, 0.3)).pvalue > 0.001
 
 
@@ -640,3 +645,63 @@ def test_draw_design_bit_reproducible(scheme):
     c = draw_design(scheme, b, 6, replicate_stream(55, 9))
     assert np.array_equal(a.points, c.points)
     assert np.array_equal(a.weights, c.weights)
+
+
+# ---------------------------------------------------------------------------
+# block draws
+
+@pytest.mark.parametrize("family", sorted(_FEATURE_BASES))
+@pytest.mark.parametrize("scheme, alpha", [(s, 1.0) for s in SCHEMES[:4]]
+                         + [("volume", 0.5)])
+def test_block_rows_are_per_stream_designs(family, scheme, alpha):
+    """Row i of draw_designs is draw_design on stream i, bit for bit, at
+    n = m, m + 1 and 4m and in blocks of 1, 7 and 256 streams."""
+    b = _FEATURE_BASES[family]()
+    m = b.m
+    for n in (m, m + 1, 4 * m):
+        for k in (1, 7, 256):
+            points, weights, phi = draw_designs(
+                scheme, b, n, [replicate_stream(82, n, k, i) for i in range(k)],
+                alpha=alpha)
+            assert points.shape == weights.shape == (k, n)
+            assert phi.shape == (k, n, m)
+            for i in range(k):
+                d = draw_design(scheme, b, n, replicate_stream(82, n, k, i),
+                                alpha=alpha)
+                assert points[i].tobytes() == d.points.tobytes()
+                assert weights[i].tobytes() == d.weights.tobytes()
+                assert phi[i].tobytes() == d.features.tobytes()
+
+
+def test_block_failing_streams_leave_the_others(monkeypatch):
+    """With four proposals per sequential step some draws fail: their
+    rows are NaN and every other row is its stream's own design. A block
+    in which every draw fails is all NaN."""
+    monkeypatch.setattr(samplers, "DPP_PROPOSAL_BATCH", 2)
+    monkeypatch.setattr(samplers, "DPP_PROPOSAL_BUDGET", 4)
+    b = _SeqLegendre(4)
+    points, weights, phi = draw_designs(
+        "volume", b, 6, [replicate_stream(83, i) for i in range(20)])
+    failed = 0
+    for i in range(20):
+        try:
+            d = draw_design("volume", b, 6, replicate_stream(83, i))
+        except SamplerFailureError:
+            failed += 1
+            assert np.isnan(points[i]).all() and np.isnan(weights[i]).all()
+            assert np.isnan(phi[i]).all()
+        else:
+            assert points[i].tobytes() == d.points.tobytes()
+            assert weights[i].tobytes() == d.weights.tobytes()
+            assert phi[i].tobytes() == d.features.tobytes()
+    assert 0 < failed < 20
+    block = draw_designs("repeated-dpp", _DuplicateFeature(4), 5,
+                         [replicate_stream(84, i) for i in range(3)])
+    assert [a.shape for a in block] == [(3, 5), (3, 5), (3, 5, 4)]
+    assert all(np.isnan(a).all() for a in block)
+
+
+def test_block_rejects_conditioned_scheme():
+    with pytest.raises(ValidationError):
+        draw_designs("repeated-dpp-cond", make_basis("legendre", 3), 6,
+                     [replicate_stream(85, 0)])
