@@ -8,18 +8,20 @@ splitting replicates across any number of worker processes cannot change
 a single output byte.
 
 A job function takes a chunk's replicate streams in blocks of at most
-BLOCK and returns one record per stream, in order. The stability job
-transforms a block in one pass: `samplers.draw_designs` takes each
-stream's random numbers in turn, then draws every design of the block
-with one stacked eigenvalue call, one nu_m inverse and one feature
-evaluation (in sub-blocks of at most BLOCK_ELEMENTS feature values), and
-the job takes the block's Gram matrices and their smallest eigenvalues
-in one stacked call each. The tail-comparison and error jobs draw design
-by design through `samplers.draw_design`; the tail comparison still
-takes its block's smallest eigenvalues in one stacked eigvalsh, and the
-error jobs fit replicate by replicate. Every stacked step treats each
-row or matrix on its own, so a record does not depend on the block it
-was computed in.
+BLOCK and returns one record per stream, in order. The stability and
+error jobs draw a block in one pass, in sub-blocks of at most
+BLOCK_ELEMENTS feature values: `samplers.draw_designs` takes each
+stream's random numbers in turn, then draws every design of the
+sub-block with one stacked eigenvalue call, one nu_m inverse and one
+feature evaluation. The stability job then takes the block's Gram
+matrices and their smallest eigenvalues in one stacked call each; the
+error job evaluates f once over the sub-block's points and fits and
+scores replicate by replicate. The conditioned scheme's error job and
+the tail-comparison job draw design by design through
+`samplers.draw_design`; the tail comparison still takes its block's
+smallest eigenvalues in one stacked eigvalsh. Every stacked step treats
+each row or matrix on its own, so a record does not depend on the block
+it was computed in.
 """
 
 import csv
@@ -40,7 +42,7 @@ from .errors import DpplsError, SingularDesignError, ValidationError
 from .lsq import (ErrorEvaluator, empirical_gram,  # noqa: F401
                   weighted_gram, weighted_lsq_fit)
 from .measures import max_quad_order
-from .samplers import (SCHEMES, canonical_scheme, draw_design,
+from .samplers import (SCHEMES, DesignSample, canonical_scheme, draw_design,
                        draw_designs, replicate_stream)
 
 BLOWUP_CAP = 1e15
@@ -51,8 +53,8 @@ STABILITY_SCHEMES = ("iid-mu", "iid-christoffel", "volume", "repeated-dpp")
 # replicate streams per job-function call: enough to spread eigvalsh's
 # per-call cost, few enough that a block's Gram array stays small
 BLOCK = 256
-# feature values (streams x n x m) per stacked draw of a stability block,
-# 2 MB of float64: a block is drawn in sub-blocks of at most this size
+# feature values (streams x n x m) per stacked draw of a block, 2 MB of
+# float64: a block is drawn in sub-blocks of at most this size
 BLOCK_ELEMENTS = 1 << 18
 
 
@@ -166,23 +168,31 @@ def _cell_key(m, n, scheme):
     return (int(m), int(n), SCHEMES.index(scheme))
 
 
-def _stability_block(config, m, n, scheme, gens):
-    """(status, hit) per stream: whether lambda_min(G^w) >= 1 - delta on
-    its draw. The designs are drawn in sub-blocks of at most
-    BLOCK_ELEMENTS feature values; a stream whose draw fails, or whose
-    features or weights are not finite, is a failure and leaves its Gram
-    slot at zero."""
-    basis = _get_basis(config.basis_family, m)
-    grams = np.zeros((len(gens), m, m))
-    ok = np.zeros(len(gens), dtype=bool)
-    step = max(1, BLOCK_ELEMENTS // (n * m))
+def _drawn_sub_blocks(config, basis, n, scheme, gens):
+    """Per sub-block of at most BLOCK_ELEMENTS feature values: its slice of
+    `gens` and draw_designs' stacked (points, weights, features) on it, or
+    None when the whole draw raised."""
+    step = max(1, BLOCK_ELEMENTS // (n * basis.m))
     for a in range(0, len(gens), step):
         part = slice(a, a + step)
         try:
-            _, weights, phi = draw_designs(scheme, basis, n, gens[part],
-                                           alpha=config.alpha)
+            block = draw_designs(scheme, basis, n, gens[part], alpha=config.alpha)
         except DpplsError:
+            block = None
+        yield part, block
+
+
+def _stability_block(config, m, n, scheme, gens):
+    """(status, hit) per stream: whether lambda_min(G^w) >= 1 - delta on
+    its draw. A stream whose draw fails, or whose features or weights are
+    not finite, is a failure and leaves its Gram slot at zero."""
+    basis = _get_basis(config.basis_family, m)
+    grams = np.zeros((len(gens), m, m))
+    ok = np.zeros(len(gens), dtype=bool)
+    for part, block in _drawn_sub_blocks(config, basis, n, scheme, gens):
+        if block is None:
             continue
+        _, weights, phi = block
         good = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(weights).all(axis=1)
         ok[part] = good
         grams[part][good] = weighted_gram(phi[good], weights[good])
@@ -191,15 +201,12 @@ def _stability_block(config, m, n, scheme, gens):
             else ("failed", 0.0) for good, lam in zip(ok, lams)]
 
 
-def _error_replicate(config, m, n, scheme, gen):
-    """(status, relative error) of one fit; singular and blown-up fits are
-    capped, and a failed draw or evaluator counts as a failure."""
-    basis = _get_basis(config.basis_family, m)
+def _fit_record(evaluator, basis, design, f_values):
+    """(status, relative error) of the weighted fit of f_values on the
+    design; singular and blown-up fits are capped, and a fit that raises
+    otherwise (a failed draw's NaN rows among them) is a failure."""
     try:
-        evaluator = _get_evaluator(config.basis_family, m, config.target_id)
-        design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
-                             delta=config.delta, max_attempts=config.max_attempts)
-        fit = weighted_lsq_fit(evaluator.f_values(design.points), design, basis)
+        fit = weighted_lsq_fit(f_values, design, basis)
         err = evaluator.rel_error(fit.coefficients)
         return ("capped", BLOWUP_CAP) if err > BLOWUP_CAP else ("ok", err)
     except SingularDesignError:
@@ -208,9 +215,42 @@ def _error_replicate(config, m, n, scheme, gen):
         return "failed", math.nan
 
 
+def _error_replicate(config, m, n, scheme, gen):
+    """(status, relative error) of one fit on the design drawn from `gen`
+    by `draw_design`; a failed draw or evaluator counts as a failure."""
+    basis = _get_basis(config.basis_family, m)
+    try:
+        evaluator = _get_evaluator(config.basis_family, m, config.target_id)
+        design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
+                             delta=config.delta, max_attempts=config.max_attempts)
+    except DpplsError:
+        return "failed", math.nan
+    return _fit_record(evaluator, basis, design,
+                       evaluator.f_values(design.points))
+
+
 def _error_block(config, m, n, scheme, gens):
-    """One `_error_replicate` record per stream."""
-    return [_error_replicate(config, m, n, scheme, gen) for gen in gens]
+    """One `_error_replicate` record per stream. The conditioned scheme
+    draws design by design; the others draw by sub-block, with f evaluated
+    once over the sub-block's points, and fit row by row."""
+    if scheme == "repeated-dpp-cond":
+        return [_error_replicate(config, m, n, scheme, gen) for gen in gens]
+    basis = _get_basis(config.basis_family, m)
+    try:
+        evaluator = _get_evaluator(config.basis_family, m, config.target_id)
+    except DpplsError:
+        return [("failed", math.nan)] * len(gens)
+    records = []
+    for part, block in _drawn_sub_blocks(config, basis, n, scheme, gens):
+        if block is None:
+            records += [("failed", math.nan)] * len(gens[part])
+            continue
+        points, weights, phi = block
+        f_values = evaluator.f_values(points)
+        records += [_fit_record(evaluator, basis,
+                                DesignSample(x, w, features, scheme), y)
+                    for x, w, features, y in zip(points, weights, phi, f_values)]
+    return records
 
 
 def _conjecture_block(config, m, gens):

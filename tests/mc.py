@@ -9,10 +9,12 @@ every stream of the block. Its output is therefore a pure function of
 KEY is an arbitrary integer, distinct per helper, that keeps draws
 uncorrelated between helpers sharing a seed.
 
-Pools, bases and evaluators come from the harness as well
-(`experiments._worker_pool`, `_get_basis`, `_get_evaluator`): a pool
-lives for one helper call, and each worker builds a basis at most once
-in it.
+Relative errors come from the error-table job itself
+(`experiments._error_block`), run through the same runner.
+
+Pools and bases come from the harness as well (`experiments._worker_pool`,
+`_get_basis`): a pool lives for one helper call, and each worker builds a
+basis at most once in it.
 """
 
 import math
@@ -20,8 +22,8 @@ import os
 
 import numpy as np
 
-from dppls.experiments import (TARGETS, _get_basis, _get_evaluator,
-                               _run_replicates, _worker_pool)
+from dppls.experiments import (TARGETS, ExperimentConfig, _error_block,
+                               _get_basis, _run_replicates, _worker_pool)
 from dppls.lsq import empirical_gram, empirical_seminorm, weighted_lsq_fit
 from dppls.samplers import (draw_design, make_weight, sample_christoffel,
                             sample_dpp, sample_volume)
@@ -161,16 +163,17 @@ def christoffel_points(family, m, total, seed, workers=_WORKERS):
 
 
 # ---------------------------------------------------------------------------
-# direct relative-error replicates (bypasses the experiment drivers)
-
-def _rel_error(family, m, n, scheme, gen):
-    basis = _get_basis(family, m)
-    ev = _get_evaluator(family, m, "inv-quad")
-    design = draw_design(scheme, basis, n, gen)
-    fit = weighted_lsq_fit(ev.f_values(design.points), design, basis)
-    return ev.rel_error(fit.coefficients)
-
+# relative-error replicates of the error-table job
 
 def rel_errors(family, m, n, scheme, total, seed, workers=_WORKERS):
-    return np.array(_replicates(_rel_error, (family, m, n, scheme), 910, total,
-                                seed, workers))
+    """Relative errors of `total` inv-quad fits, each of which must read
+    "ok" (not capped, not failed)."""
+    config = ExperimentConfig(basis_family=family, schemes=(scheme,),
+                              m_values=(m,), n_values=(n,), replicates=total,
+                              seed=seed, workers=workers)
+    with _worker_pool(workers) as pool:
+        [records] = _run_replicates(
+            [(_error_block, (config, m, n, scheme), (910,))], total, seed,
+            workers, pool)
+    assert all(status == "ok" for status, _ in records)
+    return np.array([err for _, err in records])

@@ -31,7 +31,8 @@ ACCEPTANCE_5_11 = tuple(
         "07_volume_fit_unbiased", "08_inverse_gram_trace_identity",
         "09_chernoff_constants", "10_spectral_tail_comparison",
         "11_cli_determinism"))
-SAMPLER_TARGETS = ("tests/test_samplers.py", "tests/test_lsq.py") + ACCEPTANCE_5_11
+SAMPLER_TARGETS = ("tests/test_samplers.py", "tests/test_lsq.py",
+                   "tests/test_experiments.py") + ACCEPTANCE_5_11
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,9 @@ MUTANTS = (
     Mutant("block-nu-uniforms-reversed", "samplers.py",
            "else np.concatenate(us))",
            "else np.concatenate(us[::-1]))"),
+    Mutant("block-error-f-rows-reversed", "experiments.py",
+           "f_values = evaluator.f_values(points)",
+           "f_values = evaluator.f_values(points[::-1])"),
     Mutant("conjecture-lambda-pair-swapped", "experiments.py",
            "lam_dpp, lam_iid = np.array(records).T",
            "lam_iid, lam_dpp = np.array(records).T",

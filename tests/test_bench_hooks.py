@@ -22,7 +22,10 @@ def tracer(monkeypatch):
 
 
 def test_tracer_sees_pooled_replicates_and_restores_names(tracer):
-    config = ExperimentConfig(basis_family="legendre", schemes=("volume",),
+    """The unconditioned schemes draw by block; the conditioned scheme
+    still draws each design through experiments.draw_design."""
+    config = ExperimentConfig(basis_family="legendre",
+                              schemes=("volume", "repeated-dpp-cond"),
                               m_values=(3,), n_values=(6,), replicates=8,
                               workers=2)
     try:

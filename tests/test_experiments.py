@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from dppls import experiments, samplers
-from dppls.bases import make_basis
+from dppls.bases import LegendreBasis, make_basis
 from dppls.errors import (SamplerFailureError, UnderdeterminedDesignError,
                           ValidationError)
 from dppls.experiments import (BLOWUP_CAP, ExperimentConfig, conjecture_check,
@@ -201,6 +201,102 @@ def test_stability_block_records_do_not_depend_on_element_budget(
         streams.update((id(gen), r) for r, gen in enumerate(gens))
         got = experiments._stability_block(config, 4, 8, scheme, gens)
         assert got == want, budget
+
+
+class _SeqLegendre(LegendreBasis):
+    """Legendre features under another type: the sequential DPP sampler."""
+
+
+ERROR_BLOCK_SCHEMES = [("iid-mu", 1.0), ("iid-christoffel", 1.0),
+                       ("volume", 1.0), ("volume", 0.5), ("repeated-dpp", 1.0)]
+
+
+def _error_config(family, scheme, alpha=1.0):
+    """m = 4, n = 9: repeated designs cut their last draw short."""
+    return ExperimentConfig(basis_family=family, schemes=(scheme,),
+                            m_values=(4,), n_values=(9,), alpha=alpha,
+                            replicates=10)
+
+
+def _error_want(config, scheme, seed, total):
+    return [experiments._error_replicate(config, 4, 9, scheme,
+                                         replicate_stream(seed, r))
+            for r in range(total)]
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre", "pwc", "sequential"])
+@pytest.mark.parametrize("scheme, alpha", ERROR_BLOCK_SCHEMES)
+def test_error_block_records_are_per_stream_replicates(monkeypatch, family,
+                                                       scheme, alpha):
+    """Blocks of 1, 7 and 256 streams give each stream's `_error_replicate`
+    record bit for bit; "sequential" is a LegendreBasis subclass, drawn
+    by the sequential DPP sampler."""
+    if family == "sequential":
+        family = "legendre"
+        monkeypatch.setattr(experiments, "_basis_cache",
+                            {("legendre", 4): _SeqLegendre(4)})
+        monkeypatch.setattr(experiments, "_evaluator_cache", {})
+    config = _error_config(family, scheme, alpha)
+    want = _error_want(config, scheme, 24, 256)
+    assert {status for status, _ in want} <= {"ok", "capped"}
+    for size in (1, 7, 256):
+        got = experiments._error_block(
+            config, 4, 9, scheme, [replicate_stream(24, r) for r in range(size)])
+        assert got == want[:size], size
+
+
+@pytest.mark.parametrize("scheme, alpha", ERROR_BLOCK_SCHEMES)
+def test_error_block_records_do_not_depend_on_element_budget(
+        monkeypatch, scheme, alpha):
+    """A block drawn one stream at a time, or three at a time with a
+    remainder, gives the records of one stacked draw."""
+    config = _error_config("legendre", scheme, alpha)
+    want = _error_want(config, scheme, 25, 10)
+    for budget in (1, 3 * 9 * 4, experiments.BLOCK_ELEMENTS):
+        monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", budget)
+        got = experiments._error_block(
+            config, 4, 9, scheme, [replicate_stream(25, r) for r in range(10)])
+        assert got == want, budget
+
+
+@pytest.mark.parametrize("scheme, alpha", ERROR_BLOCK_SCHEMES)
+def test_error_block_failing_streams_leave_the_others(monkeypatch, scheme,
+                                                      alpha):
+    """Every fifth draw fails where the block draws a stream's numbers: its
+    NaN rows read "failed", and its neighbours keep their records."""
+    config = _error_config("legendre", scheme, alpha)
+    want = [("failed", math.nan) if r % 5 == 2 else rec
+            for r, rec in enumerate(_error_want(config, scheme, 26, 40))]
+    numbers = samplers._Layout.numbers
+
+    def failing_every_fifth(*args, **kwargs):
+        failing_every_fifth.calls += 1
+        if failing_every_fifth.calls % 5 == 3:
+            raise SamplerFailureError("injected")
+        return numbers(*args, **kwargs)
+
+    failing_every_fifth.calls = 0
+    monkeypatch.setattr(samplers._Layout, "numbers", failing_every_fifth)
+    got = experiments._error_block(
+        config, 4, 9, scheme, [replicate_stream(26, r) for r in range(40)])
+    assert got == want
+
+
+def test_error_block_caps_pwc_designs_with_an_empty_cell():
+    """Unweighted pwc draws at n = m leave a cell empty in most designs:
+    exactly those fits are singular and read ("capped", 1e15)."""
+    config = ExperimentConfig(basis_family="pwc", schemes=("iid-mu",),
+                              m_values=(4,), n_values=(4,), replicates=10)
+    basis = make_basis("pwc", 4)
+    got = experiments._error_block(
+        config, 4, 4, "iid-mu", [replicate_stream(27, r) for r in range(30)])
+    empty = [len(set(basis.cell_index(draw_design(
+                 "iid-mu", basis, 4, replicate_stream(27, r)).points))) < 4
+             for r in range(30)]
+    assert 0 < sum(empty) < 30
+    assert [status for status, _ in got] == ["capped" if hole else "ok"
+                                             for hole in empty]
+    assert all(err == BLOWUP_CAP for status, err in got if status == "capped")
 
 
 # ---------------------------------------------------------------------------
