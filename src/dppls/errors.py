@@ -70,7 +70,8 @@ class SingularDesignError(DpplsError):
 
 
 class QuadratureAccuracyError(DpplsError):
-    """Adaptive quadrature did not converge below the order cap."""
+    """Adaptive quadrature did not converge below the order cap, or a
+    Gauss rule's Newton iteration did not settle on all of its nodes."""
 
 
 class NumericError(DpplsError):

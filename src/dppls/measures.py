@@ -4,8 +4,12 @@ based inverse-CDF sampler for densities g with respect to the measure.
 The samplers tabulate one such density per basis, the inverse Christoffel
 density w_m of nu_m = w_m mu; the DPP conditionals are drawn by rejection
 from nu_m and need no table of their own. The inverse CDF is a monotone
-piecewise cubic (PCHIP) built and evaluated in numpy; scipy is imported
-only when a Gauss rule is built.
+piecewise cubic (PCHIP) built and evaluated in numpy.
+
+The Gauss rules are numpy too: their nodes come from Newton's method on
+the three-term recurrence, started at asymptotic values of the zeros, and
+their weights from the Christoffel function of the same recurrence. No
+path of the module imports scipy or numpy.polynomial.
 """
 
 import os
@@ -16,17 +20,28 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (EmptyDesignError, NegativeDensityError, NotADensityError,
-                     UnsupportedOrderError, ValidationError)
+                     QuadratureAccuracyError, UnsupportedOrderError,
+                     ValidationError)
 
 DEFAULT_MAX_QUAD_ORDER = 2048
-# LAPACK routine for the Gauss rules' tridiagonal eigenvalue problems,
-# named so that results do not depend on the one scipy's 'auto' prefers;
-# the samplers' matrix models reach the same dsterf through numpy's dsyevd
-TRIDIAGONAL_DRIVER = "sterf"
+# Newton steps allowed for a Gauss rule's nodes; from the starting values
+# below every rule up to order 16384 settles in at most four
+NEWTON_ITERATIONS = 10
+# the first zeros of the Airy function Ai
+_AIRY_ZEROS = np.array([
+    -2.338107410459767, -4.08794944413097, -5.520559828095551,
+    -6.786708090071759, -7.944133587120853, -9.02265085334098,
+    -10.040174341558085, -11.008524303733262, -11.936015563236262,
+    -12.828776752865757])
 
 # fixed 4-point Gauss-Legendre rule used per grid cell when integrating
-# densities; exact on each cell for polynomials up to degree 7
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+# densities; exact on each cell for polynomials up to degree 7. These are
+# numpy.polynomial.legendre.leggauss(4) bit for bit, written out so that
+# importing dppls does not load numpy.polynomial
+_GL_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                  0.33998104358485626, 0.8611363115940526])
+_GL_W = np.array([0.34785484513745357, 0.6521451548625464,
+                  0.6521451548625464, 0.34785484513745357])
 
 
 def max_quad_order():
@@ -143,59 +158,142 @@ def _check_order(order):
     return int(order)
 
 
-def _golub_welsch(offdiag):
-    """Nodes and probability weights from a symmetric Jacobi matrix with
-    zero diagonal (all our measures are symmetric).
+def _recurrence(x, offdiag):
+    """Run the orthonormal recurrence b_k p_k = x p_{k-1} - b_{k-1} p_{k-2},
+    p_0 = 1, at the points x over offdiag = (b_1, ..., b_j).
 
-    The nodes are the matrix's eigenvalues. Each weight is the Christoffel
-    function at its node, 1 / sum_{k<q} p_k(x)^2, with p_k the orthonormal
-    polynomials of the same three-term recurrence; the weights are then
-    normalized to sum 1. Unlike squared first eigenvector components, which
-    are accurate only relative to the largest weight, this keeps every
-    weight accurate relative to itself, tail weights included. The
-    recurrence is rescaled by powers of two as it grows, so it cannot
-    overflow and the rescale itself is exact.
+    Returns p_{j-1} and p_j times 2^-shift, sum_{k<=j} p_k^2 times
+    4^-shift, and shift. The values are rescaled by powers of two as they
+    grow, so they cannot overflow and the rescale itself is exact.
     """
-    q = offdiag.size + 1
-    if q == 1:
-        nodes, weights = np.zeros(1), np.ones(1)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    total = np.ones_like(x)
+    shift = np.zeros(x.shape, dtype=int)
+    back = 0.0
+    for b in offdiag:
+        prev, cur = cur, (x * cur - back * prev) / b
+        back = b
+        total += cur * cur
+        big = total > 2.0 ** 500
+        if big.any():
+            e = np.frexp(total[big])[1] // 2
+            prev[big] = np.ldexp(prev[big], -e)
+            cur[big] = np.ldexp(cur[big], -e)
+            total[big] = np.ldexp(total[big], -2 * e)
+            shift[big] += e
+    return prev, cur, total, shift
+
+
+def _gauss_rule(b, guess, derivative):
+    """Nodes and probability weights of the q-point Gauss rule of a
+    symmetric measure whose orthonormal polynomials p_k satisfy the
+    recurrence with coefficients b = (b_1, ..., b_q).
+
+    The nodes are the zeros of p_q: an exact 0 for odd q, and the positive
+    zeros, found by Newton's method from `guess` (their asymptotic values,
+    largest first) and mirrored; `derivative(x, p_{q-1}, p_q)` gives p_q'.
+    Settled, distinct and positive, the floor(q/2) values are all of p_q's
+    positive zeros; otherwise the rule raises.
+
+    Each weight is the Christoffel function at its node,
+    1 / sum_{k<q} p_k(x)^2, from the recurrence run that found the nodes
+    settled, normalized so that the weights sum to 1. Unlike squared first
+    eigenvector components, which are accurate only relative to the
+    largest weight, this keeps every weight accurate relative to itself,
+    tail weights included.
+    """
+    q = b.size
+    offdiag = b[:-1]
+    back = offdiag[-1] if q > 1 else 0.0
+    x = np.concatenate((np.zeros(q % 2), guess[::-1]))
+    for _ in range(NEWTON_ITERATIONS):
+        prev, cur, total, shift = _recurrence(x, offdiag)
+        # one more step, with b_q, from p_{q-2} and p_{q-1} to p_q
+        p = (x * cur - back * prev) / b[-1]
+        step = p / derivative(x, cur, p)
+        # settled: every step within 4 units in the last place of
+        # max(node, 1), the rounding floor of the recurrence's p_q
+        if np.all(np.abs(step) <= 4.0 * np.spacing(np.maximum(x, 1.0))):
+            break
+        x = x - step
     else:
-        # imported here, so that only the Gauss rules load scipy
-        from scipy.linalg import eigvalsh_tridiagonal
-        nodes = eigvalsh_tridiagonal(np.zeros(q), offdiag,
-                                     lapack_driver=TRIDIAGONAL_DRIVER)
-        prev, cur = np.zeros(q), np.ones(q)
-        total = np.ones(q)
-        shift = np.zeros(q, dtype=int)  # total is sum p_k^2 times 4^-shift
-        back = 0.0
-        for b in offdiag:
-            prev, cur = cur, (nodes * cur - back * prev) / b
-            back = b
-            total += cur * cur
-            big = total > 2.0 ** 500
-            if big.any():
-                e = np.frexp(total[big])[1] // 2
-                prev[big] = np.ldexp(prev[big], -e)
-                cur[big] = np.ldexp(cur[big], -e)
-                total[big] = np.ldexp(total[big], -2 * e)
-                shift[big] += e
-        weights = np.ldexp(1.0 / total, -2 * shift)
-        weights = weights / weights.sum()
+        raise QuadratureAccuracyError(
+            f"Newton's method did not settle the order-{q} Gauss nodes in "
+            f"{NEWTON_ITERATIONS} steps")
+    positive = x[q % 2:]
+    if positive.size and not (positive[0] > 0.0
+                              and np.all(positive[1:] > positive[:-1])):
+        raise QuadratureAccuracyError(
+            f"the order-{q} Gauss nodes are not {q // 2} distinct positive "
+            f"zeros")
+    w = np.ldexp(1.0 / total, -2 * shift)
+    nodes = np.concatenate((-positive[::-1], x))
+    weights = np.concatenate((w[q % 2:][::-1], w))
+    weights /= weights.sum()
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
+def _legendre_guess(q):
+    """Tricomi's values for the positive zeros of P_q, largest first."""
+    k = np.arange(1, q // 2 + 1)
+    scale = 1.0 - 1.0 / (8.0 * q * q) + 1.0 / (8.0 * q ** 3)
+    return scale * np.cos(np.pi * (4 * k - 1) / (4 * q + 2))
+
+
+def _hermite_guess(q):
+    """Starting values for the positive zeros of He_q, largest first.
+
+    With nu = 2q + 1 and t_k - sin t_k = pi (4k - 1) / nu, the zeros are
+    near Tricomi's sqrt(2 nu) cos(t_k / 2); Gatteschi's next term improves
+    this in the bulk. The largest few take Gatteschi's expansion in the
+    zeros a_k of the Airy function instead (Gatteschi, J. Comput. Appl.
+    Math. 144, 2002; as in Townsend, Trogdon and Olver, IMA J. Numer.
+    Anal. 36, 2016).
+
+    t - sin t is convex and increasing on [0, pi] and at least t^3 / 12
+    there, so Newton's method started at min(pi, (12 c)^(1/3)) descends
+    monotonically onto each t_k.
+    """
+    nu = 2.0 * q + 1.0
+    c = np.pi * (4 * np.arange(1, q // 2 + 1) - 1) / nu
+    t = np.minimum(np.pi, np.cbrt(12.0 * c))
+    for _ in range(8):  # six reach double precision
+        s = np.sin(0.5 * t)
+        t = t - (t - np.sin(t) - c) / (2.0 * s * s)
+    s2 = np.sin(0.5 * t) ** 2
+    x2 = (nu * np.cos(0.5 * t) ** 2
+          - (1.25 / (s2 * s2) - 1.0 / s2 - 0.25) / (3.0 * nu))
+    # the Airy expansion is the closer one on about the 0.4 sqrt(q) largest
+    a = _AIRY_ZEROS[:min(q // 2, round(0.4 * math.sqrt(q)))]
+    r = 2.0 ** (1 / 3)
+    x2[:a.size] = (
+        nu + r * r * a * nu ** (1 / 3) + r ** 4 / 5 * a ** 2 * nu ** (-1 / 3)
+        + (11 / 35 - 0.25 - 12 / 175 * a ** 3) / nu
+        + (16 / 1575 * a + 92 / 7875 * a ** 4) * r * r * nu ** (-5 / 3)
+        - (15152 / 3031875 * a ** 5 + 1088 / 121275 * a ** 2) * r
+        * nu ** (-7 / 3))
+    return np.sqrt(2.0 * x2)
+
+
 @lru_cache(maxsize=64)
 def _jacobi_uniform_cached(order):
-    k = np.arange(1, order, dtype=float)
-    return _golub_welsch(k / np.sqrt(4.0 * k * k - 1.0))
+    k = np.arange(1, order + 1, dtype=float)
+    # p_k = sqrt(2k + 1) P_k, and (1 - x^2) P_q' = q (P_{q-1} - x P_q)
+    c = math.sqrt((2.0 * order + 1.0) / (2.0 * order - 1.0))
+    return _gauss_rule(
+        k / np.sqrt(4.0 * k * k - 1.0), _legendre_guess(order),
+        lambda x, pm, p: order * (c * pm - x * p) / ((1.0 - x) * (1.0 + x)))
 
 
 @lru_cache(maxsize=64)
 def _hermite_prob_cached(order):
-    k = np.arange(1, order, dtype=float)
-    return _golub_welsch(np.sqrt(k))
+    k = np.arange(1, order + 1, dtype=float)
+    root = math.sqrt(order)
+    # p_q' = sqrt(q) p_{q-1}
+    return _gauss_rule(np.sqrt(k), _hermite_guess(order),
+                       lambda x, pm, p: root * pm)
 
 
 def _gauss_jacobi_uniform(order):

@@ -211,8 +211,8 @@ def _tridiagonal_eigvalsh(diag, off):
     these diagonals (k, m) and off-diagonals (k, m - 1), or of one such
     matrix, by LAPACK dsyevd on each dense lower triangle. Its reduction
     leaves a tridiagonal matrix as it is, so it runs dsterf on the input
-    itself, in numpy and without scipy; a stack is solved matrix by
-    matrix."""
+    itself and gives scipy's eigvalsh_tridiagonal with the 'sterf' driver
+    bit for bit; a stack is solved matrix by matrix."""
     m = diag.shape[-1]
     a = np.zeros(diag.shape + (m,))
     flat = a.reshape(-1, m * m)

@@ -33,6 +33,7 @@ ACCEPTANCE_5_11 = tuple(
         "11_cli_determinism"))
 SAMPLER_TARGETS = ("tests/test_samplers.py", "tests/test_lsq.py",
                    "tests/test_experiments.py") + ACCEPTANCE_5_11
+GAUSS_TARGETS = ("tests/test_measures.py", "tests/test_lsq.py")
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,14 @@ MUTANTS = (
            "lam_iid, lam_dpp = np.array(records).T",
            ("tests/test_experiments.py",
             "tests/test_acceptance.py::test_criterion_10_spectral_tail_comparison")),
+    Mutant("gauss-newton-on-p-q-minus-1", "measures.py",
+           "        p = (x * cur - back * prev) / b[-1]\n"
+           "        step = p / derivative(x, cur, p)",
+           "        p = cur\n"
+           "        step = p / derivative(x, prev, p)",
+           GAUSS_TARGETS),
+    Mutant("gauss-nodes-at-guesses", "measures.py",
+           "        x = x - step\n", "        break\n", GAUSS_TARGETS),
 )
 
 

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, flags, exit codes, CSV output."""
 
 import csv
+import os
 import subprocess
 import sys
 
@@ -142,30 +143,42 @@ _SCIPY_PROBE = """
 import io, sys
 import dppls
 from dppls import cli
+from dppls.bases import HermiteBasis
+from dppls.experiments import TARGETS
+from dppls.lsq import ErrorEvaluator
 
-def scipy_modules():
-    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+def loaded(name):
+    return sorted(k for k in sys.modules
+                  if k == name or k.startswith(name + "."))
 
-assert not scipy_modules(), scipy_modules()
+assert not loaded("scipy"), loaded("scipy")
 for scheme in ("repeated-dpp", "iid-christoffel"):
     sys.stdout = io.StringIO()
     code = cli.main(["dump-design", "--basis", "legendre", "--m", "5",
                      "--n", "5", "--scheme", scheme])
     sys.stdout = sys.__stdout__
     assert code == 0, scheme
-    assert not scipy_modules(), (scheme, scipy_modules())
+    assert not loaded("scipy"), (scheme, loaded("scipy"))
 # numpy.ma costs 10-15 ms of import; np.unique loads it on first use
 assert "numpy.ma" not in sys.modules
+# numpy.polynomial loads six modules; the grid rule is written out instead
+assert not loaded("numpy.polynomial"), loaded("numpy.polynomial")
 dppls.StandardGaussian().gauss_quadrature(64)
-assert "scipy.linalg" in sys.modules
+dppls.UniformInterval().gauss_quadrature(64)
+assert not loaded("scipy"), loaded("scipy")
+for m in (10, 20, 30, 40, 50):
+    ErrorEvaluator(TARGETS["inv-quad"].evaluator, HermiteBasis(m))
+assert not loaded("scipy"), loaded("scipy")
 """
 
 
 def test_import_does_not_load_scipy():
-    """The samplers run on numpy alone, without numpy.ma; scipy is loaded
-    for Gauss rules."""
+    """The samplers run on numpy alone, without numpy.ma or
+    numpy.polynomial; the Gauss rules and the Hermite error evaluators
+    load no scipy either."""
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, DPPLS_MAX_QUAD_ORDER="2048"))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -9,7 +9,8 @@ from scipy.stats import ks_2samp, kstest
 from dppls import measures
 from dppls.bases import make_basis
 from dppls.errors import (EmptyDesignError, NegativeDensityError,
-                          NotADensityError, UnsupportedOrderError)
+                          NotADensityError, QuadratureAccuracyError,
+                          UnsupportedOrderError)
 from dppls.measures import (DEFAULT_MAX_QUAD_ORDER, GridDensitySampler,
                             StandardGaussian, UniformInterval,
                             build_density_sampler, max_quad_order)
@@ -117,11 +118,13 @@ def test_monomial_exactness_up_to_degree(order):
             assert got == pytest.approx(moment(k), abs=1e-13 * scale + 1e-13)
 
 
-@pytest.mark.parametrize("order", [31, 64, 128])
-@pytest.mark.parametrize("kind", ["hermite", "legendre"])
+@pytest.mark.parametrize("kind, order", [
+    (kind, order) for kind in ("hermite", "legendre") for order in (31, 64, 128)]
+    + [("hermite", 256)])
 def test_weights_accurate_relative_to_themselves(kind, order):
-    """Every Gauss weight, tail weights far below the largest included,
-    matches a 40-digit reference to a relative 1e-10.
+    """Every Gauss node matches a 40-digit reference to 1e-12, and every
+    weight, tail weights far below the largest included, to a relative
+    1e-10.
 
     mpmath's rules are for exp(-x^2) on the line and for dx on [-1, 1];
     the probability versions scale the Hermite nodes by sqrt(2) and divide
@@ -143,6 +146,52 @@ def test_weights_accurate_relative_to_themselves(kind, order):
     rule = measure.gauss_quadrature(order)
     assert rule.nodes == pytest.approx(want_x[order_by], abs=1e-12)
     assert rule.weights == pytest.approx(want_w[order_by], rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 31, 64, 65, 128, 1024, 2048])
+@pytest.mark.parametrize("kind", ["hermite", "legendre"])
+def test_nodes_are_the_jacobi_eigenvalues(kind, order, quad_cap_2048):
+    """The Newton nodes are the Jacobi matrix's eigenvalues as LAPACK's
+    'sterf' and 'stemr' compute them, to 1e-12 of the largest node."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    measure = GAUSSIAN if kind == "hermite" else UNIFORM
+    nodes = measure.gauss_quadrature(order).nodes
+    k = np.arange(1, order, dtype=float)
+    off = np.sqrt(k) if kind == "hermite" else k / np.sqrt(4.0 * k * k - 1.0)
+    for driver in ("sterf", "stemr"):
+        want = eigvalsh_tridiagonal(np.zeros(order), off, lapack_driver=driver)
+        assert np.abs(nodes - want).max() <= 1e-12 * np.abs(want).max(), driver
+
+
+def test_unsettled_newton_raises_and_error_cell_fails(monkeypatch, tmp_path,
+                                                      quad_cap_2048):
+    """With one Newton step allowed no rule of order >= 2 settles: building
+    one raises QuadratureAccuracyError, and an error-table cell writes its
+    row with best at NaN and every replicate counted as failed."""
+    from dppls import cli, experiments
+    monkeypatch.setattr(measures, "NEWTON_ITERATIONS", 1)
+    monkeypatch.setattr(experiments, "_evaluator_cache", {})
+    measures._hermite_prob_cached.cache_clear()
+    measures._jacobi_uniform_cached.cache_clear()
+    for measure in (UNIFORM, GAUSSIAN):
+        for order in (2, 64):
+            with pytest.raises(QuadratureAccuracyError):
+                measure.gauss_quadrature(order)
+    out = tmp_path / "t.csv"
+    schemes = ["iid-mu", "volume"]
+    assert cli.main(["error-table", "--basis", "hermite", "--scheme", *schemes,
+                     "--m", "10", "--n", "20", "--replicates", "3",
+                     "--workers", "1", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["best"] == "nan"
+    assert [row[f"{s}_failures"] for s in schemes] == ["3", "3"]
+
+
+def test_grid_cell_rule_is_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert measures._GL_X.tobytes() == x.tobytes()
+    assert measures._GL_W.tobytes() == w.tobytes()
 
 
 def test_high_order_weights_are_a_probability_vector(monkeypatch):

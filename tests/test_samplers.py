@@ -349,19 +349,16 @@ def test_dpp_kernel_moments_of_sum_of_squares(family):
 def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
                                                       quad_cap_2048):
     """The matrix models take their eigenvalues from
-    `samplers._tridiagonal_eigvalsh` (numpy's dsyevd, which runs dsterf),
-    the Gauss rules from scipy's `eigvalsh_tridiagonal` with a pinned
-    driver. On the models' own matrices, drawn as stacks of 200, the
-    helper equals scipy's 'sterf' matrix by matrix and bit for bit, and 'stemr' differs by rounding only; forcing 'stemr'
-    into the Gauss rules moves the Hermite m = 10 best error by rounding
-    only."""
-    import scipy.linalg
+    `samplers._tridiagonal_eigvalsh` (numpy's dsyevd, which runs dsterf).
+    On the models' own matrices, drawn as stacks of 200, the helper equals
+    scipy's 'sterf' matrix by matrix and bit for bit, and 'stemr' differs
+    by rounding only. The Gauss rules find their nodes by Newton's method;
+    built on scipy's 'sterf' eigenvalues instead, with the same Christoffel
+    weights, they move the Hermite m = 10 best error by rounding only and
+    certify it at the same order."""
 
-    calls = []
-
-    def stemr(d, e, **kwargs):
-        calls.append(len(d))
-        return eigvalsh_tridiagonal(d, e, **dict(kwargs, lapack_driver="stemr"))
+    def stemr(d, e):
+        return eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
 
     helper = samplers._tridiagonal_eigvalsh
     matrices = []
@@ -387,21 +384,27 @@ def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
         assert eig.tobytes() == sterf.tobytes() == stacked.tobytes()
         assert np.all(np.abs(stemr(diag, off) - eig) <= 1e-12 * np.abs(eig).max())
 
-    def best_rel_error():
-        measures._hermite_prob_cached.cache_clear()
-        return ErrorEvaluator(TARGETS["inv-quad"].evaluator,
-                              HermiteBasis(10)).best_rel_error
+    orders = []
 
-    try:
-        best = best_rel_error()
-        model_calls = len(calls)
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", stemr)
-        best_stemr = best_rel_error()
-    finally:
-        measures._hermite_prob_cached.cache_clear()
-    assert len(calls) > 400
-    assert len(calls) > model_calls  # the Gauss rules ran 'stemr'
-    assert best_stemr == pytest.approx(best, rel=1e-12)
+    def sterf_rule(measure, order):
+        orders.append(order)
+        off = np.sqrt(np.arange(1, order, dtype=float))
+        nodes = eigvalsh_tridiagonal(np.zeros(order), off, lapack_driver="sterf")
+        _, _, total, shift = measures._recurrence(nodes, off)
+        weights = np.ldexp(1.0 / total, -2 * shift)
+        return measures.QuadratureRule(nodes, weights / weights.sum(), order)
+
+    def best_rel_error():
+        evaluator = ErrorEvaluator(TARGETS["inv-quad"].evaluator,
+                                   HermiteBasis(10))
+        return evaluator.best_rel_error, evaluator.rule.order
+
+    best, order = best_rel_error()
+    monkeypatch.setattr(measures.StandardGaussian, "gauss_quadrature",
+                        sterf_rule)
+    best_sterf, order_sterf = best_rel_error()
+    assert orders[-1] == order_sterf == order
+    assert best_sterf == pytest.approx(best, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
