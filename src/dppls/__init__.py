@@ -23,11 +23,12 @@ from .bases import (FeatureBasis, HermiteBasis, LegendreBasis,
                     PiecewiseConstantBasis, RotatedBasisState, empty_rotation,
                     extend_rotation, make_basis)
 from .samplers import (DesignSample, SCHEMES, Weight, draw_design, make_weight,
-                       replicate_stream, sample_christoffel,
+                       replicate_stream, replicate_streams, sample_christoffel,
                        sample_conditioned, sample_dpp, sample_repeated_dpp,
                        sample_volume, scheme_weight)
 from .lsq import (EmpiricalGram, ErrorEvaluator, LsqFit, averaged_estimator,
-                  empirical_gram, empirical_seminorm, weighted_lsq_fit)
+                  empirical_gram, empirical_seminorm, weighted_lsq_fit,
+                  weighted_lsq_fits)
 from .bounds import (ChernoffConstants, TheoryBound, chernoff_constants,
                      dpp_chernoff_failure, iid_sample_size, k_constant,
                      mixed_stability_bound, quasi_optimality_constant,

@@ -8,20 +8,21 @@ splitting replicates across any number of worker processes cannot change
 a single output byte.
 
 A job function takes a chunk's replicate streams in blocks of at most
-BLOCK and returns one record per stream, in order. The stability and
-error jobs draw a block in one pass, in sub-blocks of at most
-BLOCK_ELEMENTS feature values: `samplers.draw_designs` takes each
-stream's random numbers in turn, then draws every design of the
-sub-block with one stacked eigenvalue call, one nu_m inverse and one
-feature evaluation. The stability job then takes the block's Gram
-matrices and their smallest eigenvalues in one stacked call each; the
-error job evaluates f once over the sub-block's points and fits and
-scores replicate by replicate. The conditioned scheme's error job and
-the tail-comparison job draw design by design through
-`samplers.draw_design`; the tail comparison still takes its block's
-smallest eigenvalues in one stacked eigvalsh. Every stacked step treats
-each row or matrix on its own, so a record does not depend on the block
-it was computed in.
+BLOCK, built by one `samplers.replicate_streams` call, and returns one
+record per stream, in order. The stability and error jobs draw a block
+in one pass, in sub-blocks of at most BLOCK_ELEMENTS feature values:
+`samplers.draw_designs` takes each stream's random numbers in turn, then
+draws every design of the sub-block with one stacked eigenvalue call,
+one nu_m inverse and one feature evaluation. The conditioned scheme
+draws design by design through `samplers.draw_design` into the same
+stacked arrays. The stability job then takes the block's Gram matrices
+and their smallest eigenvalues in one stacked call each; the error job
+evaluates f once over the sub-block's points, fits it with one
+`lsq.weighted_lsq_fits` call (one stacked eigvalsh, QR and solve) and
+scores it with one `ErrorEvaluator.rel_errors` call. The tail-comparison
+job draws design by design and takes its block's smallest eigenvalues in
+one stacked eigvalsh. Every stacked step treats each row or matrix on
+its own, so a record does not depend on the block it was computed in.
 """
 
 import csv
@@ -36,14 +37,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .bases import BASIS_FAMILIES, make_basis
-from .errors import DpplsError, SingularDesignError, ValidationError
-# empirical_gram is unused here but stays importable: the benchmark's
-# tracer wraps it under this module
-from .lsq import (ErrorEvaluator, empirical_gram,  # noqa: F401
-                  weighted_gram, weighted_lsq_fit)
+from .errors import DpplsError, ValidationError
+# empirical_gram, weighted_lsq_fit and replicate_stream are unused here
+# but stay importable: the benchmark's tracer wraps them under this module
+from .lsq import (SINGULARITY_THRESHOLD, ErrorEvaluator,  # noqa: F401
+                  empirical_gram, weighted_gram, weighted_lsq_fit,
+                  weighted_lsq_fits)
 from .measures import max_quad_order
-from .samplers import (SCHEMES, DesignSample, canonical_scheme, draw_design,
-                       draw_designs, replicate_stream)
+from .samplers import (SCHEMES, canonical_scheme, draw_design,  # noqa: F401
+                       draw_designs, replicate_stream, replicate_streams)
 
 BLOWUP_CAP = 1e15
 DEFAULT_M_VALUES = (10, 20, 30, 40, 50)
@@ -170,16 +172,36 @@ def _cell_key(m, n, scheme):
 
 def _drawn_sub_blocks(config, basis, n, scheme, gens):
     """Per sub-block of at most BLOCK_ELEMENTS feature values: its slice of
-    `gens` and draw_designs' stacked (points, weights, features) on it, or
-    None when the whole draw raised."""
+    `gens` and its designs stacked as (points, weights, features), or None
+    when the whole draw raised. The unconditioned schemes draw through
+    draw_designs; the conditioned scheme draws design by design through
+    draw_design, and a stream whose draw raises keeps NaN rows."""
     step = max(1, BLOCK_ELEMENTS // (n * basis.m))
     for a in range(0, len(gens), step):
         part = slice(a, a + step)
+        if scheme == "repeated-dpp-cond":
+            yield part, _conditioned_designs(config, basis, n, gens[part])
+            continue
         try:
             block = draw_designs(scheme, basis, n, gens[part], alpha=config.alpha)
         except DpplsError:
             block = None
         yield part, block
+
+
+def _conditioned_designs(config, basis, n, gens):
+    points, weights = np.full((2, len(gens), n), np.nan)
+    phi = np.full((len(gens), n, basis.m), np.nan)
+    for i, gen in enumerate(gens):
+        try:
+            design = draw_design("repeated-dpp-cond", basis, n, gen,
+                                 alpha=config.alpha, delta=config.delta,
+                                 max_attempts=config.max_attempts)
+        except DpplsError:
+            continue
+        points[i], weights[i] = design.points, design.weights
+        phi[i] = design.features
+    return points, weights, phi
 
 
 def _stability_block(config, m, n, scheme, gens):
@@ -201,40 +223,12 @@ def _stability_block(config, m, n, scheme, gens):
             else ("failed", 0.0) for good, lam in zip(ok, lams)]
 
 
-def _fit_record(evaluator, basis, design, f_values):
-    """(status, relative error) of the weighted fit of f_values on the
-    design; singular and blown-up fits are capped, and a fit that raises
-    otherwise (a failed draw's NaN rows among them) is a failure."""
-    try:
-        fit = weighted_lsq_fit(f_values, design, basis)
-        err = evaluator.rel_error(fit.coefficients)
-        return ("capped", BLOWUP_CAP) if err > BLOWUP_CAP else ("ok", err)
-    except SingularDesignError:
-        return "capped", BLOWUP_CAP
-    except DpplsError:
-        return "failed", math.nan
-
-
-def _error_replicate(config, m, n, scheme, gen):
-    """(status, relative error) of one fit on the design drawn from `gen`
-    by `draw_design`; a failed draw or evaluator counts as a failure."""
-    basis = _get_basis(config.basis_family, m)
-    try:
-        evaluator = _get_evaluator(config.basis_family, m, config.target_id)
-        design = draw_design(scheme, basis, n, gen, alpha=config.alpha,
-                             delta=config.delta, max_attempts=config.max_attempts)
-    except DpplsError:
-        return "failed", math.nan
-    return _fit_record(evaluator, basis, design,
-                       evaluator.f_values(design.points))
-
-
 def _error_block(config, m, n, scheme, gens):
-    """One `_error_replicate` record per stream. The conditioned scheme
-    draws design by design; the others draw by sub-block, with f evaluated
-    once over the sub-block's points, and fit row by row."""
-    if scheme == "repeated-dpp-cond":
-        return [_error_replicate(config, m, n, scheme, gen) for gen in gens]
+    """(status, relative error) per stream of the weighted fit on its
+    design. Each sub-block evaluates f once over its points and is fitted
+    and scored in one call each. A singular or blown-up fit is capped at
+    BLOWUP_CAP; a failed draw, its non-finite rows or a failed evaluator
+    count as failures."""
     basis = _get_basis(config.basis_family, m)
     try:
         evaluator = _get_evaluator(config.basis_family, m, config.target_id)
@@ -246,10 +240,13 @@ def _error_block(config, m, n, scheme, gens):
             records += [("failed", math.nan)] * len(gens[part])
             continue
         points, weights, phi = block
-        f_values = evaluator.f_values(points)
-        records += [_fit_record(evaluator, basis,
-                                DesignSample(x, w, features, scheme), y)
-                    for x, w, features, y in zip(points, weights, phi, f_values)]
+        coefs, lams = weighted_lsq_fits(evaluator.f_values(points), weights, phi)
+        errs = evaluator.rel_errors(coefs)
+        records += [("failed", math.nan) if math.isnan(lam)
+                    else ("capped", BLOWUP_CAP)
+                    if lam <= SINGULARITY_THRESHOLD or err > BLOWUP_CAP
+                    else ("ok", err)
+                    for lam, err in zip(lams.tolist(), errs.tolist())]
     return records
 
 
@@ -272,8 +269,8 @@ def _run_chunk(task):
     fn, args, key, seed, start, stop = task
     records = []
     for a in range(start, stop, BLOCK):
-        records += fn(*args, [replicate_stream(seed, r, *key)
-                              for r in range(a, min(a + BLOCK, stop))])
+        records += fn(*args, replicate_streams(
+            seed, range(a, min(a + BLOCK, stop)), *key))
     return records
 
 

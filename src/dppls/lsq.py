@@ -1,6 +1,14 @@
 """Empirical Gram matrices, weighted least-squares fitting, exact-norm
 error evaluation through adaptive quadrature, and averaging of
 independent estimators.
+
+A fit factors the row-scaled design matrix A, rows (n w_i)^{-1/2}
+phi_i^T, by a reduced QR and solves R c = Q^T b; it never forms the
+normal equations. Its lambda_min, which decides whether a design is
+singular, is the smallest eigenvalue of the Gram matrix G^w = A^T A as
+`empirical_gram` computes it. Fits and errors run on stacks of designs
+(`weighted_lsq_fits`, `ErrorEvaluator.rel_errors`), one row at a time
+in effect; the single-design functions are their k = 1 case.
 """
 
 import math
@@ -69,27 +77,52 @@ def empirical_gram(design, basis):
     return EmpiricalGram(G, float(evals[0]), float(evals[-1]))
 
 
+def weighted_lsq_fits(f_values, weights, features):
+    """Weighted least-squares fits of a stack of k designs: f_values and
+    weights (k, n), features (k, n, m). Returns the coefficients (k, m)
+    and each design's lambda_min (k,), bit for bit empirical_gram's; it
+    is 0 when n < m. Only rows with lambda_min > SINGULARITY_THRESHOLD
+    are solved (by QR, see the module docstring); the others read NaN
+    coefficients, and rows whose A is not finite also read lambda_min
+    NaN. A row does not depend on the stack it is in.
+    """
+    f_values, weights, features = (np.asarray(a, dtype=float)
+                                   for a in (f_values, weights, features))
+    k, n, m = features.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / np.sqrt(n * weights)
+    A = features * scale[..., None]
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(weights).all(axis=1)
+    lam = np.full(k, np.nan)
+    coef = np.full((k, m), np.nan)
+    if finite.any():
+        lam[finite] = (np.linalg.eigvalsh(weighted_gram(features[finite],
+                                                        weights[finite]))[:, 0]
+                       if n >= m else 0.0)
+    solve = finite & (lam > SINGULARITY_THRESHOLD)
+    if solve.any():
+        Q, R = np.linalg.qr(A[solve])
+        b = (f_values[solve] * scale[solve])[..., None]
+        coef[solve] = np.linalg.solve(R, Q.swapaxes(-1, -2) @ b)[..., 0]
+    return coef, lam
+
+
 def weighted_lsq_fit(f_values, design, basis):
     """Coefficients minimizing (1/n) sum_i w(x_i)^{-1} (f(x_i) - g(x_i))^2
-    over g in V_m.
-
-    Solved through an orthogonal factorization of the row-scaled design
-    matrix A with rows (n w(x_i))^{-1/2} phi(x_i)^T, not the normal
-    equations. G^w = A^T A, so lambda_min = sigma_min(A)^2 comes from the
-    same factorization; it is 0 when n < m.
+    over g in V_m: weighted_lsq_fits for one design. Raises NumericError
+    for non-finite features or weights and SingularDesignError when
+    lambda_min(G^w) <= SINGULARITY_THRESHOLD.
     """
     f_values = np.asarray(f_values, dtype=float)
     if f_values.shape != (design.n,):
         raise ValidationError("f_values length must match the design size")
-    scale = 1.0 / np.sqrt(design.n * design.weights)
-    A = _features(design, basis) * scale[:, None]
-    if not np.isfinite(A).all():
+    [coef], [lam] = weighted_lsq_fits(f_values[None], design.weights[None],
+                                      _features(design, basis)[None])
+    if math.isnan(lam):
         raise NumericError("non-finite feature or weight values")
-    coef, _, _, sigma = np.linalg.lstsq(A, f_values * scale, rcond=None)
-    lam = float(sigma[-1]) ** 2 if design.n >= basis.m else 0.0
     if lam <= SINGULARITY_THRESHOLD:
-        raise SingularDesignError(lam)
-    return LsqFit(coef, lam, design.n, basis.m,
+        raise SingularDesignError(float(lam))
+    return LsqFit(coef, float(lam), design.n, basis.m,
                   design.sampler_id, design.attempts)
 
 
@@ -221,18 +254,22 @@ class ErrorEvaluator:
         self.best_error = _residual_norm(keep, coefs)
         self.best_rel_error = self.best_error / self.f_norm
 
-    def abs_error(self, coefficients):
-        """||f - phi^T c|| from the error split
-        ||f - phi c||^2 = ||f - Pf||^2 + ||a - c||^2."""
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape != self.best_coefficients.shape:
-            raise ValidationError("coefficient vector length must equal m")
-        d = self.best_coefficients - c
-        return math.sqrt(self.best_error ** 2 + float(d @ d))
+    def rel_errors(self, coefficients):
+        """||f - phi^T c|| / ||f|| for each row c of a (k, m) stack, from
+        the error split ||f - phi c||^2 = ||f - Pf||^2 + ||a - c||^2."""
+        C = np.asarray(coefficients, dtype=float)
+        if C.ndim != 2 or C.shape[1:] != self.best_coefficients.shape:
+            raise ValidationError("coefficient rows must have length m")
+        d = self.best_coefficients - C
+        return np.sqrt(self.best_error ** 2 + (d * d).sum(axis=1)) / self.f_norm
 
     def rel_error(self, coefficients):
-        """||f - phi^T c|| / ||f||."""
-        return self.abs_error(coefficients) / self.f_norm
+        """||f - phi^T c|| / ||f||: rel_errors for one vector."""
+        return float(self.rel_errors(np.asarray(coefficients, dtype=float)[None])[0])
+
+    def abs_error(self, coefficients):
+        """||f - phi^T c||."""
+        return self.rel_error(coefficients) * self.f_norm
 
     def f_values(self, xs):
         return np.asarray(self.f(xs), dtype=float)

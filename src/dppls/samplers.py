@@ -137,15 +137,143 @@ def as_rng(rng):
     return np.random.default_rng(seed), seed
 
 
+# ---------------------------------------------------------------------------
+# replicate streams: numpy's SeedSequence hash, computed for a whole block
+
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value):
+    """SeedSequence's uint32 words of a non-negative int, least first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed):
+    """SeedSequence(seed, spawn_key=...)'s pool after the seed's words,
+    and its hash constant there. The pool is SeedSequence(seed)'s own,
+    since the spawn key's words come after the seed's. Filling the pool
+    takes 4 hashmix steps, mixing it 12, and each seed word past the
+    fourth 4 more."""
+    pool = np.random.SeedSequence(seed).pool
+    words = max(1, -(-seed.bit_length() // 32))
+    steps = _POOL * _POOL + _POOL * max(0, words - _POOL)
+    return pool, _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+
+
+def _hash_constants(hc, mult, count):
+    """SeedSequence's hash constant before and after each of `count`
+    steps from hc, as uint32 arrays, and the constant after the last."""
+    before, after = [], []
+    for _ in range(count):
+        before.append(hc)
+        hc = hc * mult & _MASK32
+        after.append(hc)
+    return (np.array(before, dtype=np.uint32), np.array(after, dtype=np.uint32),
+            hc)
+
+
+@lru_cache(maxsize=256)
+def _spawn_mixing(hc, key):
+    """From hash constant hc on: the replicate word's hashmix constants,
+    then per key word the (4,) row _MIX_R * hashmix(word) that enters the
+    pool."""
+    before, after, hc = _hash_constants(hc, _MULT_A, _POOL)
+    key_rows = []
+    for word in (w for k in key for w in _uint32_words(k)):
+        pre, post, hc = _hash_constants(hc, _MULT_A, _POOL)
+        h = (np.uint32(word) ^ pre) * post
+        key_rows.append((h ^ (h >> np.uint32(16))) * np.uint32(_MIX_R))
+    return before, after, key_rows
+
+
+@lru_cache(maxsize=None)
+def _state_mixing():
+    """generate_state's constants for 8 uint32 words from a 4-word pool,
+    and the uint32 constants of the mix."""
+    before, after, _ = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    return before, after, np.uint32(_MIX_L), np.uint32(_MIX_R), np.uint32(16)
+
+
+@lru_cache(maxsize=None)
+def _state_words_class():
+    """The ISeedSequence that hands PCG64 one stream's precomputed seed
+    words; defined on first use, so that importing dppls does not import
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds PCG64's four uint64 seed words only")
+            return self.words.copy()
+
+        def __reduce__(self):
+            return _state_words, (self.words,)
+
+    return StateWords
+
+
+def _state_words(words):
+    return _state_words_class()(words)
+
+
+def replicate_streams(seed, replicates, *key):
+    """One RNG stream per replicate index, derived deterministically from
+    (seed, replicate, *key) so that results do not depend on how
+    replicates are scheduled across workers; extra integer key parts
+    decorrelate streams across experiment cells sharing a seed.
+
+    Stream i is Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=(replicates[i], *key)))) bit for bit, without building a
+    SeedSequence: its documented uint32 hash runs once for the block on a
+    (k, 4) pool. The pool after the seed's words is cached per seed; the
+    replicate word and then each key word are mixed in, and the pool's 8
+    output words seed PCG64. Replicate indices must lie in [0, 2^32);
+    the seed and key parts may be any non-negative int.
+    """
+    pool, hc = _seed_pool(int(seed))
+    reps = np.asarray(replicates, dtype=np.int64)
+    if (reps >> 32).any():
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    before, after, key_rows = _spawn_mixing(hc, tuple(int(k) for k in key))
+    out_before, out_after, mix_l, mix_r, shift = _state_mixing()
+    h = reps.astype(np.uint32)[:, None] ^ before
+    h *= after
+    h ^= h >> shift
+    pool = pool * mix_l - mix_r * h
+    pool ^= pool >> shift
+    for row in key_rows:
+        pool *= mix_l
+        pool -= row
+        pool ^= pool >> shift
+    state = np.concatenate((pool, pool), axis=1)
+    state ^= out_before
+    state *= out_after
+    state ^= state >> shift
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    seed_words = _state_words_class()
+    return [generator(pcg64(seed_words(words)))
+            for words in state.view("<u8").astype(np.uint64)]
+
+
 def replicate_stream(seed, replicate, *key):
-    """Independent RNG stream for one Monte Carlo replicate, derived
-    deterministically from (seed, replicate index) so that results do not
-    depend on how replicates are scheduled across workers. Extra integer
-    key parts decorrelate streams across experiment cells sharing a
-    seed."""
-    spawn = (int(replicate),) + tuple(int(k) for k in key)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn)
-    return np.random.Generator(np.random.PCG64(ss))
+    """replicate_streams for one replicate index."""
+    return replicate_streams(seed, (replicate,), *key)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ ACCEPTANCE_5_11 = tuple(
 SAMPLER_TARGETS = ("tests/test_samplers.py", "tests/test_lsq.py",
                    "tests/test_experiments.py") + ACCEPTANCE_5_11
 GAUSS_TARGETS = ("tests/test_measures.py", "tests/test_lsq.py")
+FIT_TARGETS = ("tests/test_lsq.py", "tests/test_experiments.py")
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,8 @@ MUTANTS = (
            "else np.concatenate(us))",
            "else np.concatenate(us[::-1]))"),
     Mutant("block-error-f-rows-reversed", "experiments.py",
-           "f_values = evaluator.f_values(points)",
-           "f_values = evaluator.f_values(points[::-1])"),
+           "weighted_lsq_fits(evaluator.f_values(points), weights, phi)",
+           "weighted_lsq_fits(evaluator.f_values(points[::-1]), weights, phi)"),
     Mutant("conjecture-lambda-pair-swapped", "experiments.py",
            "lam_dpp, lam_iid = np.array(records).T",
            "lam_iid, lam_dpp = np.array(records).T",
@@ -109,6 +110,24 @@ MUTANTS = (
            GAUSS_TARGETS),
     Mutant("gauss-nodes-at-guesses", "measures.py",
            "        x = x - step\n", "        break\n", GAUSS_TARGETS),
+    Mutant("stacked-fit-unscaled-rhs", "lsq.py",
+           "b = (f_values[solve] * scale[solve])[..., None]",
+           "b = f_values[solve][..., None]", FIT_TARGETS),
+    Mutant("singular-mask-on-lambda-max", "lsq.py",
+           "weights[finite]))[:, 0]", "weights[finite]))[:, -1]", FIT_TARGETS),
+    Mutant("stream-key-before-replicate", "samplers.py",
+           "    pool = pool * mix_l - mix_r * h\n"
+           "    pool ^= pool >> shift\n"
+           "    for row in key_rows:\n"
+           "        pool *= mix_l\n"
+           "        pool -= row\n"
+           "        pool ^= pool >> shift\n",
+           "    for row in key_rows:\n"
+           "        pool = pool * mix_l - row\n"
+           "        pool ^= pool >> shift\n"
+           "    pool = pool * mix_l - mix_r * h\n"
+           "    pool ^= pool >> shift\n",
+           ("tests/test_samplers.py",)),
 )
 
 

@@ -22,8 +22,9 @@ def tracer(monkeypatch):
 
 
 def test_tracer_sees_pooled_replicates_and_restores_names(tracer):
-    """The unconditioned schemes draw by block; the conditioned scheme
-    still draws each design through experiments.draw_design."""
+    """The unconditioned schemes draw by block and every block is fitted
+    in one stacked call; the conditioned scheme still draws each design
+    through experiments.draw_design."""
     config = ExperimentConfig(basis_family="legendre",
                               schemes=("volume", "repeated-dpp-cond"),
                               m_values=(3,), n_values=(6,), replicates=8,
@@ -39,8 +40,7 @@ def test_tracer_sees_pooled_replicates_and_restores_names(tracer):
     # worker spans reach the parent only when the traced _run_chunk is the
     # function handed to the pool
     names = {span[2] for span in tracer.spans}
-    assert {"experiments._run_chunk", "samplers.replicate_stream",
-            "samplers.draw_design", "lsq.weighted_lsq_fit",
+    assert {"experiments._run_chunk", "samplers.draw_design",
             "cli.write_csv"} <= names
     assert tracer.counts[("warm", "experiments.pools_started")] == 1
 

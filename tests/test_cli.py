@@ -142,6 +142,8 @@ def test_console_script_installed():
 _SCIPY_PROBE = """
 import io, sys
 import dppls
+# numpy.random costs 6 MB of RSS; it loads on the first draw, not on import
+assert "numpy.random" not in sys.modules
 from dppls import cli
 from dppls.bases import HermiteBasis
 from dppls.experiments import TARGETS

@@ -208,7 +208,8 @@ class _SeqLegendre(LegendreBasis):
 
 
 ERROR_BLOCK_SCHEMES = [("iid-mu", 1.0), ("iid-christoffel", 1.0),
-                       ("volume", 1.0), ("volume", 0.5), ("repeated-dpp", 1.0)]
+                       ("volume", 1.0), ("volume", 0.5), ("repeated-dpp", 1.0),
+                       ("repeated-dpp-cond", 1.0)]
 
 
 def _error_config(family, scheme, alpha=1.0):
@@ -218,68 +219,110 @@ def _error_config(family, scheme, alpha=1.0):
                             replicates=10)
 
 
-def _error_want(config, scheme, seed, total):
-    return [experiments._error_replicate(config, 4, 9, scheme,
-                                         replicate_stream(seed, r))
-            for r in range(total)]
+def _lstsq_records(config, scheme, seed, total, failing=()):
+    """Per stream, the record of its own design fitted by np.linalg.lstsq,
+    an independent route to the stacked QR of `_error_block`; streams in
+    `failing` read as failed draws."""
+    basis = experiments._get_basis(config.basis_family, 4)
+    ev = experiments._get_evaluator(config.basis_family, 4, config.target_id)
+    records = []
+    for r in range(total):
+        if r in failing:
+            records.append(("failed", math.nan))
+            continue
+        d = draw_design(scheme, basis, 9, replicate_stream(seed, r),
+                        alpha=config.alpha, delta=config.delta,
+                        max_attempts=config.max_attempts)
+        scale = 1.0 / np.sqrt(9 * d.weights)
+        coef, _, _, sigma = np.linalg.lstsq(
+            d.features * scale[:, None], ev.f_values(d.points) * scale,
+            rcond=None)
+        if sigma[-1] ** 2 <= 1e-12:
+            records.append(("capped", BLOWUP_CAP))
+            continue
+        dist = ev.best_coefficients - coef
+        records.append(
+            ("ok", math.sqrt(ev.best_error ** 2 + dist @ dist) / ev.f_norm))
+    return records
+
+
+def _assert_records_match_lstsq(got, want):
+    """The same status per stream, and relative errors within 1e-12."""
+    assert [status for status, _ in got] == [status for status, _ in want]
+    for (status, err), (_, ref) in zip(got, want):
+        if status == "failed":
+            assert math.isnan(err)
+        else:
+            assert abs(err - ref) <= 1e-12 * ref, (err, ref)
+
+
+def _blocks(config, scheme, seed, total, size):
+    """`_error_block` over streams 0..total-1 in blocks of `size`."""
+    gens = [replicate_stream(seed, r) for r in range(total)]
+    return [rec for a in range(0, total, size) for rec in
+            experiments._error_block(config, 4, 9, scheme, gens[a:a + size])]
 
 
 @pytest.mark.parametrize("family", ["hermite", "legendre", "pwc", "sequential"])
 @pytest.mark.parametrize("scheme, alpha", ERROR_BLOCK_SCHEMES)
 def test_error_block_records_are_per_stream_replicates(monkeypatch, family,
                                                        scheme, alpha):
-    """Blocks of 1, 7 and 256 streams give each stream's `_error_replicate`
-    record bit for bit; "sequential" is a LegendreBasis subclass, drawn
-    by the sequential DPP sampler."""
+    """Blocks of 1, 7 and 256 streams give the same records bit for bit,
+    and each stream's record is its own design's least-squares fit;
+    "sequential" is a LegendreBasis subclass, drawn by the sequential DPP
+    sampler."""
     if family == "sequential":
         family = "legendre"
         monkeypatch.setattr(experiments, "_basis_cache",
                             {("legendre", 4): _SeqLegendre(4)})
         monkeypatch.setattr(experiments, "_evaluator_cache", {})
     config = _error_config(family, scheme, alpha)
-    want = _error_want(config, scheme, 24, 256)
-    assert {status for status, _ in want} <= {"ok", "capped"}
-    for size in (1, 7, 256):
-        got = experiments._error_block(
-            config, 4, 9, scheme, [replicate_stream(24, r) for r in range(size)])
-        assert got == want[:size], size
+    got = _blocks(config, scheme, 24, 256, 256)
+    assert {status for status, _ in got} <= {"ok", "capped"}
+    _assert_records_match_lstsq(got, _lstsq_records(config, scheme, 24, 256))
+    for size in (1, 7):
+        assert _blocks(config, scheme, 24, 256, size) == got, size
 
 
 @pytest.mark.parametrize("scheme, alpha", ERROR_BLOCK_SCHEMES)
 def test_error_block_records_do_not_depend_on_element_budget(
         monkeypatch, scheme, alpha):
     """A block drawn one stream at a time, or three at a time with a
-    remainder, gives the records of one stacked draw."""
+    remainder, gives the records of one stacked draw bit for bit."""
     config = _error_config("legendre", scheme, alpha)
-    want = _error_want(config, scheme, 25, 10)
+    records = []
     for budget in (1, 3 * 9 * 4, experiments.BLOCK_ELEMENTS):
         monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", budget)
-        got = experiments._error_block(
-            config, 4, 9, scheme, [replicate_stream(25, r) for r in range(10)])
-        assert got == want, budget
+        records.append(_blocks(config, scheme, 25, 10, 10))
+    assert records[0] == records[1] == records[2]
+    _assert_records_match_lstsq(records[0],
+                                _lstsq_records(config, scheme, 25, 10))
 
 
 @pytest.mark.parametrize("scheme, alpha", ERROR_BLOCK_SCHEMES)
 def test_error_block_failing_streams_leave_the_others(monkeypatch, scheme,
                                                       alpha):
-    """Every fifth draw fails where the block draws a stream's numbers: its
-    NaN rows read "failed", and its neighbours keep their records."""
+    """Every fifth stream's draw fails where the sampler takes its numbers:
+    its NaN rows read "failed", and its neighbours keep their records bit
+    for bit."""
     config = _error_config("legendre", scheme, alpha)
-    want = [("failed", math.nan) if r % 5 == 2 else rec
-            for r, rec in enumerate(_error_want(config, scheme, 26, 40))]
+    intact = _blocks(config, scheme, 26, 40, 40)
+    failing = {r for r in range(40) if r % 5 == 2}
+    want = _lstsq_records(config, scheme, 26, 40, failing)
+    gens = [replicate_stream(26, r) for r in range(40)]
+    streams = {id(gen): r for r, gen in enumerate(gens)}
     numbers = samplers._Layout.numbers
 
-    def failing_every_fifth(*args, **kwargs):
-        failing_every_fifth.calls += 1
-        if failing_every_fifth.calls % 5 == 3:
+    def failing_every_fifth(self, basis, gen):
+        if streams[id(gen)] in failing:
             raise SamplerFailureError("injected")
-        return numbers(*args, **kwargs)
+        return numbers(self, basis, gen)
 
-    failing_every_fifth.calls = 0
     monkeypatch.setattr(samplers._Layout, "numbers", failing_every_fifth)
-    got = experiments._error_block(
-        config, 4, 9, scheme, [replicate_stream(26, r) for r in range(40)])
-    assert got == want
+    got = experiments._error_block(config, 4, 9, scheme, gens)
+    assert got == [("failed", math.nan) if r in failing else rec
+                   for r, rec in enumerate(intact)]
+    _assert_records_match_lstsq(got, want)
 
 
 def test_error_block_caps_pwc_designs_with_an_empty_cell():

@@ -12,7 +12,8 @@ from dppls.errors import (EmptyAggregateError, QuadratureAccuracyError,
                           SingularDesignError, ValidationError)
 from dppls.experiments import TARGETS
 from dppls.lsq import (ErrorEvaluator, averaged_estimator, empirical_gram,
-                       empirical_seminorm, weighted_gram, weighted_lsq_fit)
+                       empirical_seminorm, weighted_gram, weighted_lsq_fit,
+                       weighted_lsq_fits)
 from dppls.samplers import (DesignSample, draw_design, make_weight,
                             replicate_stream, sample_dpp)
 
@@ -159,12 +160,39 @@ def test_fit_rejects_singular_design():
 @pytest.mark.parametrize("family", ["legendre", "hermite", "pwc"])
 @pytest.mark.parametrize("scheme", ["volume", "iid-christoffel"])
 def test_fit_lambda_min_is_gram_lambda_min(family, scheme):
-    """sigma_min^2 of the scaled design matrix is lambda_min(G^w)."""
+    """The fit's lambda_min is empirical_gram's, bit for bit."""
     b = make_basis(family, 5)
     d = draw_design(scheme, b, 30, replicate_stream(76, len(family), len(scheme)))
     fit = weighted_lsq_fit(np.cos(d.points), d, b)
-    assert fit.lambda_min == pytest.approx(empirical_gram(d, b).lambda_min,
-                                           rel=1e-12)
+    assert fit.lambda_min == empirical_gram(d, b).lambda_min
+
+
+def test_stacked_fits_mask_failed_and_singular_rows():
+    """One stack holding a good design, a non-finite one and an exactly
+    singular one: the singular R does not stop the solve, the good row is
+    its single fit bit for bit, the others read NaN coefficients, and
+    lambda_min is NaN for the non-finite row and 0 for the singular one."""
+    b = make_basis("pwc", 4)
+    good = draw_design("volume", b, 8, replicate_stream(79, 0))
+    hole = _design([0.05, 0.1, 0.15, 0.2, 0.6, 0.7, 0.8, 0.9], b, "unit")
+    f = np.cos(good.points)
+    phi = np.stack([good.features, good.features, hole.features])
+    w = np.stack([good.weights, good.weights, hole.weights])
+    phi[1, 2, 0] = np.nan
+    coef, lam = weighted_lsq_fits(np.stack([f, f, f]), w, phi)
+    fit = weighted_lsq_fit(f, good, b)
+    assert coef[0].tobytes() == fit.coefficients.tobytes()
+    assert lam[0] == fit.lambda_min
+    assert np.isnan(coef[1:]).all()
+    assert np.isnan(lam[1]) and lam[2] == 0.0
+
+
+def test_stacked_fits_below_m_points_read_zero():
+    b = make_basis("legendre", 4)
+    d = draw_design("iid-mu", b, 2, replicate_stream(80, 0))
+    coef, lam = weighted_lsq_fits(np.ones((1, 2)), d.weights[None],
+                                  d.features[None])
+    assert lam.tolist() == [0.0] and np.isnan(coef).all()
 
 
 def test_fit_with_fewer_points_than_features_is_singular():
@@ -282,6 +310,14 @@ def test_error_split_agrees_with_direct_norm():
     direct = math.sqrt(ev.rule.integrate(r * r))
     assert ev.abs_error(c) == pytest.approx(direct, rel=1e-8)
     assert ev.rel_error(c) == pytest.approx(direct / ev.f_norm, rel=1e-8)
+
+
+def test_rel_errors_rows_are_rel_error():
+    ev = ErrorEvaluator(INV_QUAD, make_basis("legendre", 6))
+    C = ev.best_coefficients + replicate_stream(81, 0).normal(size=(9, 6))
+    assert ev.rel_errors(C).tolist() == [ev.rel_error(c) for c in C]
+    with pytest.raises(ValidationError):
+        ev.rel_errors(C[:, :5])
 
 
 def test_projection_contracts_empirical_seminorm():

@@ -1,6 +1,8 @@
 """Random designs: i.i.d., Christoffel, projection DPP, volume, repeated,
 conditioned."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
@@ -17,7 +19,7 @@ from dppls.lsq import ErrorEvaluator, _rule_for, empirical_gram
 from dppls.measures import UniformInterval
 from dppls.samplers import (SCHEMES, Weight, _sample_dpp_sequential,
                             canonical_scheme, draw_design, draw_designs,
-                            make_weight, replicate_stream,
+                            make_weight, replicate_stream, replicate_streams,
                             sample_christoffel, sample_conditioned,
                             sample_dpp, sample_repeated_dpp, sample_volume,
                             scheme_weight)
@@ -40,6 +42,51 @@ def test_replicate_stream_distinct_replicates_and_keys():
     assert not np.array_equal(base, replicate_stream(42, 4, 7).random(5))
     assert not np.array_equal(base, replicate_stream(42, 3, 8).random(5))
     assert not np.array_equal(base, replicate_stream(43, 3, 7).random(5))
+
+
+def _seed_sequence_stream(seed, replicate, *key):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate, *key))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+                                  2**200 + 9])
+@pytest.mark.parametrize("key", [(), (10, 20, 3), (2**33, 5), (901,)], ids=str)
+def test_replicate_streams_are_seed_sequence_streams(seed, key):
+    """Each stream is numpy's SeedSequence route bit for bit, in its PCG64
+    state and its first draws: single-, multi-word and over-pool-size
+    seeds and keys, and non-contiguous replicate lists at k = 1, 8 and
+    256."""
+    for replicates in ([2**32 - 1], [0, 3, 1, 7, 2**31, 5, 2**32 - 2, 4],
+                       list(range(1023, -1, -4))):
+        streams = replicate_streams(seed, replicates, *key)
+        assert len(streams) == len(replicates)
+        for r, gen in zip(replicates, streams):
+            ref = _seed_sequence_stream(seed, r, *key)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert gen.random(3).tobytes() == ref.random(3).tobytes()
+    assert (replicate_stream(seed, 6, *key).random(3).tobytes()
+            == _seed_sequence_stream(seed, 6, *key).random(3).tobytes())
+
+
+def test_replicate_streams_reject_what_seed_sequence_rejects():
+    with pytest.raises(ValueError) as ours:
+        replicate_streams(-1, [0])
+    with pytest.raises(ValueError) as numpys:
+        np.random.SeedSequence(-1, spawn_key=(0,))
+    assert str(ours.value) == str(numpys.value)
+    with pytest.raises(ValueError):
+        replicate_streams(1, [0], 4, -3)
+    for replicate in (-1, 2**32):
+        with pytest.raises(ValueError):
+            replicate_streams(1, [0, replicate])
+
+
+def test_replicate_stream_pickles_to_the_same_draws():
+    gen = replicate_stream(7, 3, 11)
+    gen.random(4)
+    copy = pickle.loads(pickle.dumps(gen))
+    assert copy.random(5).tobytes() == gen.random(5).tobytes()
 
 
 # ---------------------------------------------------------------------------
