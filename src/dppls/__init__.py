@@ -22,7 +22,7 @@ from .measures import (GridDensitySampler, QuadratureRule, ReferenceMeasure,
 from .bases import (FeatureBasis, HermiteBasis, LegendreBasis,
                     PiecewiseConstantBasis, RotatedBasisState, empty_rotation,
                     extend_rotation, make_basis)
-from .samplers import (DesignSample, SCHEMES, Weight, draw_design, make_weight,
+from .samplers import (DesignSample, SCHEMES, Weight, draw_design,
                        replicate_stream, replicate_streams, sample_christoffel,
                        sample_conditioned, sample_dpp, sample_repeated_dpp,
                        sample_volume, scheme_weight)
@@ -30,11 +30,9 @@ from .lsq import (EmpiricalGram, ErrorEvaluator, LsqFit, averaged_estimator,
                   empirical_gram, empirical_seminorm, weighted_lsq_fit,
                   weighted_lsq_fits)
 from .bounds import (ChernoffConstants, TheoryBound, chernoff_constants,
-                     dpp_chernoff_failure, iid_sample_size, k_constant,
-                     mixed_stability_bound, quasi_optimality_constant,
-                     repeated_dpp_sample_size, required_sample_size,
-                     stability_failure_bound, theory_bound,
-                     volume_sample_size)
+                     k_constant, mixed_stability_bound,
+                     quasi_optimality_constant, required_sample_size,
+                     stability_failure_bound)
 from .experiments import (ExperimentConfig, TargetFunction, TARGETS,
                           conjecture_check, dump_design, error_histogram,
                           error_table, minimal_stable_n, stability_map)

@@ -1,10 +1,19 @@
 """Sample-size and stability-bound calculators from the matrix Chernoff
 inequality.
 
+Every stability guarantee here is one tail bound,
+
+    P(lambda_min(G^w) < 1 - delta) <= m exp(-c_delta a (n - n0) / m),
+
+with a per-scheme rate a and offset n0 (`_tail`): i.i.d. draws from the
+alpha-mixture have a = alpha and n0 = 0, volume-rescaled designs spend
+n0 = m points on their projection block, and repeated projection designs
+have a = 1 and n0 = 0, but only under the unproven concentration property
+of the projection process. Bounds resting on that property are labeled
+conjecture-dependent both here and in the CLI output.
+
 All logarithms are natural. Bounds are raw tail bounds: they may exceed 1
-and are reported as-is. Bounds that rest on the unproven concentration
-property of the projection-process design are labeled conjecture-dependent
-both here and in the CLI output.
+and are reported as-is.
 """
 
 import math
@@ -13,7 +22,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .samplers import make_weight
+from .samplers import Weight
 
 SCHEME_TAGS = ("iid", "volume", "repeated-dpp")
 
@@ -44,7 +53,6 @@ class TheoryBound:
     m: int
     n: int
     alpha: float
-    eta: float
     beta: float
     predicted_failure_prob: float
     conjecture_dependent: bool = False
@@ -54,14 +62,7 @@ class TheoryBound:
             raise ValidationError("failure bound outside [0, m]")
 
 
-def _check_delta(delta):
-    delta = float(delta)
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must lie in (0,1), got {delta}")
-    return delta
-
-
-def _check_prob(name, value):
+def _check_open(name, value):
     value = float(value)
     if not (0.0 < value < 1.0):
         raise ValidationError(f"{name} must lie in (0,1), got {value}")
@@ -82,111 +83,63 @@ def _check_m(m):
     return m
 
 
+def _tail(scheme, m, alpha):
+    """(a, n0, conjecture_dependent) of the scheme's Chernoff tail
+    m exp(-c_delta a (n - n0) / m)."""
+    if scheme == "iid":
+        return alpha, 0, False
+    if scheme == "volume":
+        return alpha, m, False
+    if scheme == "repeated-dpp":
+        return 1.0, 0, True
+    raise ValidationError(f"unknown scheme tag {scheme!r}")
+
+
+def _beta(m, n, alpha):
+    """beta = 1 + (alpha^-1 - 1) m / n."""
+    return 1.0 + (1.0 / alpha - 1.0) * m / n
+
+
 def chernoff_constants(delta):
     """c_delta = delta + (1-delta)ln(1-delta) and
     d_delta = -delta + (1+delta)ln(1+delta)."""
-    delta = _check_delta(delta)
+    delta = _check_open("delta", delta)
     c = delta + (1.0 - delta) * math.log1p(-delta)
     d = -delta + (1.0 + delta) * math.log1p(delta)
     return ChernoffConstants(delta, c, d)
 
 
-def iid_sample_size(m, delta, eta, alpha=1.0):
-    """Points needed so that n i.i.d. draws from the alpha-mixture density
-    keep lambda_min(G^w) >= 1-delta except with probability eta.
-
-    ceil(c_delta^-1 alpha^-1 m ln(m/eta)); ln(m/eta) computed as
-    ln m + ln(1/eta) so that tiny eta cannot overflow the ratio.
-    """
+def required_sample_size(scheme, m, delta, eta, alpha=1.0):
+    """The smallest n whose tail bound under the scheme is at most eta:
+    n0 + ceil(m ln(m/eta) / (c_delta a)), with ln(m/eta) computed as
+    ln m + ln(1/eta) so that tiny eta cannot overflow the ratio."""
     m = _check_m(m)
-    delta = _check_delta(delta)
-    eta = _check_prob("eta", eta)
-    alpha = _check_alpha(alpha)
     c = chernoff_constants(delta).c_delta
-    raw = (math.log(m) + math.log(1.0 / eta)) * m / (c * alpha)
-    return math.ceil(raw)
-
-
-def volume_sample_size(m, delta, eta, alpha=1.0):
-    """Like iid_sample_size but for the volume-rescaled design, which
-    spends m points on the projection block: m + the i.i.d. term."""
-    return _check_m(m) + iid_sample_size(m, delta, eta, alpha)
-
-
-def dpp_chernoff_failure(m, n, delta):
-    """Tail bound m exp(-c_delta n / m) for the repeated projection
-    design. Conjecture-dependent: assumes the unproven concentration
-    property of the projection process, so treat the value as a
-    prediction, not a guarantee."""
-    m = _check_m(m)
-    n = int(n)
-    if n < m:
-        raise ValidationError(f"need n >= m, got n={n}, m={m}")
-    c = chernoff_constants(delta).c_delta
-    return m * math.exp(-c * n / m)
-
-
-def repeated_dpp_sample_size(m, delta, eta):
-    """n with dpp_chernoff_failure(m, n, delta) <= eta
-    (conjecture-dependent): ceil(c_delta^-1 m ln(m/eta))."""
-    m = _check_m(m)
-    delta = _check_delta(delta)
-    eta = _check_prob("eta", eta)
-    c = chernoff_constants(delta).c_delta
-    return math.ceil((math.log(m) + math.log(1.0 / eta)) * m / c)
+    eta = _check_open("eta", eta)
+    a, n0, _ = _tail(scheme, m, _check_alpha(alpha))
+    return n0 + math.ceil((math.log(m) + math.log(1.0 / eta)) * m / (c * a))
 
 
 def stability_failure_bound(scheme, m, n, delta, alpha=1.0):
-    """TheoryBound for a concrete (m, n): the raw Chernoff tail bound on
-    P(lambda_min(G^w) < 1-delta) under the scheme."""
+    """TheoryBound for a concrete (m, n): the raw Chernoff tail bound
+    m exp(-c_delta a (n - n0) / m) on P(lambda_min(G^w) < 1-delta) under
+    the scheme, with n >= m."""
     m = _check_m(m)
     n = int(n)
-    delta = _check_delta(delta)
+    c = chernoff_constants(delta).c_delta
     alpha = _check_alpha(alpha)
-    if scheme not in SCHEME_TAGS:
-        raise ValidationError(f"unknown scheme tag {scheme!r}")
+    a, n0, conjectural = _tail(scheme, m, alpha)
     if n < m:
         raise ValidationError(f"need n >= m, got n={n}, m={m}")
-    c = chernoff_constants(delta).c_delta
-    conjectural = False
-    if scheme == "iid":
-        bound = m * math.exp(-c * alpha * n / m)
-    elif scheme == "volume":
-        bound = m * math.exp(-c * alpha * (n - m) / m)
-    else:
-        bound = dpp_chernoff_failure(m, n, delta)
-        conjectural = True
-    beta = 1.0 + (1.0 / alpha - 1.0) * m / n
     # the exponential factor is <= 1 for n >= m, so bound <= m already
-    return TheoryBound(scheme, m, n, alpha, bound, beta, bound,
+    bound = m * math.exp(-c * a * (n - n0) / m)
+    return TheoryBound(scheme, m, n, alpha, _beta(m, n, alpha), bound,
                        conjecture_dependent=conjectural)
-
-
-def required_sample_size(scheme, m, delta, eta, alpha=1.0):
-    """Dispatch to the per-scheme sample-size formula."""
-    if scheme == "iid":
-        return iid_sample_size(m, delta, eta, alpha)
-    if scheme == "volume":
-        return volume_sample_size(m, delta, eta, alpha)
-    if scheme == "repeated-dpp":
-        return repeated_dpp_sample_size(m, delta, eta)
-    raise ValidationError(f"unknown scheme tag {scheme!r}")
-
-
-def theory_bound(scheme, m, delta, eta, alpha=1.0):
-    """TheoryBound at the smallest n the scheme's formula certifies for
-    the target failure level eta."""
-    eta = _check_prob("eta", eta)
-    n = required_sample_size(scheme, m, delta, eta, alpha)
-    bound = stability_failure_bound(scheme, m, n, delta, alpha)
-    return TheoryBound(scheme, bound.m, n, bound.alpha, eta, bound.beta,
-                       bound.predicted_failure_prob,
-                       conjecture_dependent=bound.conjecture_dependent)
 
 
 def k_constant(basis, w=None, grid=100_000):
     """Grid estimate of K_w = sup_x w(x)^-1 ||phi(x)||_2^2 over the
-    effective support.
+    effective support, with w = 1 by default.
 
     A maximum over grid points never exceeds the true sup, so the value
     is a grid lower bound. K enters the sample-size formulas only through
@@ -196,7 +149,7 @@ def k_constant(basis, w=None, grid=100_000):
     if grid < 2:
         raise ValidationError(f"need grid >= 2, got {grid}")
     if w is None:
-        w = make_weight("unit")
+        w = Weight(0.0)
     lo, hi = basis.measure.effective_support(basis.m)
     xs = np.linspace(lo, hi, grid)
     phi = basis.feature_matrix(xs)
@@ -218,13 +171,12 @@ def quasi_optimality_constant(m, n, alpha, delta, eta, xi):
     if n <= m:
         raise ValidationError(f"need n > m, got n={n}, m={m}")
     alpha = _check_alpha(alpha)
-    delta = _check_delta(delta)
-    eta = _check_prob("eta", eta)
+    delta = _check_open("delta", delta)
+    eta = _check_open("eta", eta)
     if xi not in (0, 1):
         raise ValidationError(f"xi must be 0 or 1, got {xi}")
-    beta = 1.0 + (1.0 / alpha - 1.0) * m / n
     ratio = m / n
-    return 1.0 + (beta + xi * m / alpha) * ratio / (
+    return 1.0 + (_beta(m, n, alpha) + xi * m / alpha) * ratio / (
         alpha * (1.0 - eta) * (1.0 - delta) ** 2 * (1.0 - ratio) ** 2)
 
 
@@ -240,7 +192,7 @@ def mixed_stability_bound(m, n, r, delta, xi_m):
     """
     m = _check_m(m)
     n, r = int(n), int(r)
-    delta = _check_delta(delta)
+    delta = _check_open("delta", delta)
     xi_m = float(xi_m)
     if r < 1 or n < r * m:
         raise ValidationError(f"need r >= 1 and n >= r*m, got n={n}, r={r}")

@@ -8,15 +8,16 @@ dump-design, bounds. All emit CSV to --out or stdout. Exit codes:
 import argparse
 import sys
 
-from .bases import BASIS_FAMILIES
-from .bounds import (chernoff_constants, k_constant, mixed_stability_bound,
-                     required_sample_size, stability_failure_bound)
+from .bases import BASIS_FAMILIES, make_basis
+from .bounds import (SCHEME_TAGS, chernoff_constants, k_constant,
+                     mixed_stability_bound, required_sample_size,
+                     stability_failure_bound)
 from .errors import DpplsError, ValidationError
 from .experiments import (DEFAULT_DELTA, DEFAULT_M_VALUES, STABILITY_SCHEMES,
                           TARGETS, ExperimentConfig, conjecture_check,
                           dump_design, error_histogram, error_table,
                           stability_map, write_csv)
-from .samplers import SCHEMES
+from .samplers import SCHEMES, Weight
 
 
 def _add_common(p, *, schemes, default_schemes, default_replicates,
@@ -146,14 +147,13 @@ def _run_bounds(args):
          "conjecture-dependent"],
     ]
     if args.n is not None:
-        for scheme in ("iid", "volume", "repeated-dpp"):
+        for scheme in SCHEME_TAGS:
             b = stability_failure_bound(scheme, args.m, args.n, args.delta,
                                         args.alpha)
             note = "conjecture-dependent" if b.conjecture_dependent else ""
             rows.append([f"{scheme}_failure_bound", b.predicted_failure_prob,
                          note])
-        rows.append(["beta",
-                     1.0 + (1.0 / args.alpha - 1.0) * args.m / args.n, ""])
+        rows.append(["beta", b.beta, ""])
         if args.xi_m is not None and args.r is not None:
             thr, bound = mixed_stability_bound(args.m, args.n, args.r,
                                                args.delta, args.xi_m)
@@ -162,12 +162,10 @@ def _run_bounds(args):
             rows.append(["mixed_design_failure_bound", bound,
                          "conjecture-dependent"])
     if args.basis is not None:
-        from .bases import make_basis
-        from .samplers import make_weight
-        basis = make_basis(args.basis, args.m)
-        w = make_weight("christoffel", args.alpha)
+        # alpha is checked in (0, 1] by the sample sizes above
         rows.append(["k_grid_lower_bound",
-                     k_constant(basis, w, args.grid), ""])
+                     k_constant(make_basis(args.basis, args.m),
+                                Weight(args.alpha), args.grid), ""])
     write_csv(args.out, ["quantity", "value", "note"], rows)
 
 

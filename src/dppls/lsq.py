@@ -168,12 +168,11 @@ def _rule_for(basis, order):
     return QuadratureRule(nodes, weights.copy(), order)
 
 
-def _adaptive(values_at, basis, quad=None, rtol=ADAPTIVE_RTOL):
-    """Evaluate `values_at(rule)` at doubling quadrature orders until the
-    result moves by less than rtol (relative), starting from `quad` or
-    from order max(64, 2m)."""
-    order = quad.order if quad is not None else max(64, 2 * basis.m)
-    order = max(order, basis.m + 1)
+def _adaptive(values_at, basis):
+    """Evaluate `values_at(rule)` at doubling quadrature orders, from order
+    max(64, 2m), until the result moves by less than ADAPTIVE_RTOL
+    (relative)."""
+    order = max(64, 2 * basis.m)
     cap = max_quad_order()
     if order > cap:
         raise QuadratureAccuracyError(
@@ -192,7 +191,7 @@ def _adaptive(values_at, basis, quad=None, rtol=ADAPTIVE_RTOL):
                 f"order {order // 2}")
         cur = np.asarray(values_at(_rule_for(basis, order)), dtype=float)
         last_change = _change(prev, cur)
-        if last_change < rtol:
+        if last_change < ADAPTIVE_RTOL:
             return cur
         prev = cur
 
@@ -203,7 +202,7 @@ def _change(a, b):
     return num / den
 
 
-def _f_moments(f, basis, quad):
+def _f_moments(f, basis):
     """Adaptively converged [||f||^2, integral of f phi_0, ..., f phi_{m-1}].
 
     Only integrals linear in the features are certified; the certified
@@ -219,7 +218,7 @@ def _f_moments(f, basis, quad):
         norm2 = float(rule.weights @ (fvals * fvals))
         return np.concatenate(([norm2], feats.T @ (rule.weights * fvals)))
 
-    converged = _adaptive(values_at, basis, quad)
+    converged = _adaptive(values_at, basis)
     return float(converged[0]), converged[1:], keep
 
 
@@ -244,10 +243,10 @@ class ErrorEvaluator:
     one vector difference.
     """
 
-    def __init__(self, f, basis, quad=None):
+    def __init__(self, f, basis):
         self.basis = basis
         self.f = f
-        norm2, coefs, keep = _f_moments(f, basis, quad)
+        norm2, coefs, keep = _f_moments(f, basis)
         self.rule = keep["rule"]
         self.f_norm = math.sqrt(norm2)
         self.best_coefficients = coefs

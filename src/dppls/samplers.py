@@ -39,13 +39,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bases import (HermiteBasis, LegendreBasis, PiecewiseConstantBasis,
                     christoffel_rows, empty_rotation, extend_rotation)
 from .errors import (ConditioningFailureError, DegeneratePointError,
                      DpplsError, EmptyDesignError, SamplerFailureError,
                      UnderdeterminedDesignError, ValidationError)
+from .lsq import weighted_gram
 # GridDensitySampler and refined_grid are unused here but stay importable:
 # the benchmark's tracer wraps them, with build_density_sampler, under this
 # module
@@ -84,18 +85,6 @@ class Weight:
         if self.alpha == 1.0:
             return christoffel_rows(phi)
         return self.alpha * christoffel_rows(phi) + (1.0 - self.alpha)
-
-
-def make_weight(kind, alpha=1.0):
-    """Weight by name: 'unit' is w = 1; 'christoffel' and 'mixture' are
-    alpha w_m + (1 - alpha) with alpha in (0, 1]."""
-    if kind == "unit":
-        return Weight(0.0)
-    if kind not in ("christoffel", "mixture"):
-        raise ValidationError(f"unknown weight kind {kind!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"{kind} weight needs alpha in (0, 1], got {alpha}")
-    return Weight(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -594,27 +583,27 @@ def sample_repeated_dpp(basis, n, rng):
         basis, rng, "repeated-dpp")
 
 
-def sample_conditioned(inner, basis, delta, max_attempts=1000, rng=None):
-    """Redraw whole designs from `inner` until the stability event
-    lambda_min(G^w) >= 1 - delta holds, with w the weights each design
-    carries; the attempt count is recorded on the returned sample.
+def sample_conditioned(basis, n, delta, max_attempts=1000, rng=None):
+    """Redraw n-point repeated-dpp designs until the stability event
+    lambda_min(G^w) >= 1 - delta holds, with w = w_m; the attempt count
+    is recorded on the returned sample. Attempt k is the k-th
+    sample_repeated_dpp draw of the stream, and lambda_min is
+    empirical_gram's, bit for bit.
 
-    `inner` is a callable rng -> DesignSample. On exhaustion a
-    ConditioningFailureError carrying the best lambda_min is raised.
+    On exhaustion a ConditioningFailureError carrying the best lambda_min
+    is raised.
     """
-    from .lsq import empirical_gram  # local import, lsq depends on this module
-
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
     gen, seed = as_rng(rng)
+    layout = _layout("repeated-dpp", basis, n, Weight(1.0))
     best = -np.inf
     for attempt in range(1, int(max_attempts) + 1):
-        design = inner(gen)
-        lam = empirical_gram(design, basis).lambda_min
+        pts, w, phi = layout.transform(basis, [layout.numbers(basis, gen)])
+        lam = float(np.linalg.eigvalsh(weighted_gram(phi, w))[0])
         if lam >= 1.0 - delta:
-            return replace(design, sampler_id=design.sampler_id + "-cond",
-                           seed=seed if seed is not None else design.seed,
-                           attempts=attempt)
+            return DesignSample(pts[0], w, phi, "repeated-dpp-cond", seed,
+                                attempt)
         best = max(best, lam)
     raise ConditioningFailureError(max_attempts, best)
 
@@ -634,7 +623,10 @@ def scheme_weight(scheme, alpha=1.0):
     if scheme in ("iid-christoffel", "repeated-dpp", "repeated-dpp-cond"):
         return Weight(1.0)
     if scheme == "volume":
-        return make_weight("christoffel", alpha)
+        if not 0.0 < alpha <= 1.0:
+            raise ValidationError(
+                f"volume weight needs alpha in (0, 1], got {alpha}")
+        return Weight(alpha)
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
@@ -648,13 +640,10 @@ def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=0.75,
     so the same call regenerates the design bit for bit.
     """
     scheme = canonical_scheme(scheme)
-    w = scheme_weight(scheme, alpha)
-    if scheme != "repeated-dpp-cond":
-        return _layout(scheme, basis, n, w).design(basis, rng, scheme)
-    gen, seed = as_rng(rng)
-    design = sample_conditioned(lambda g: sample_repeated_dpp(basis, n, g),
-                                basis, delta, max_attempts, gen)
-    return replace(design, sampler_id=scheme, seed=seed)
+    if scheme == "repeated-dpp-cond":
+        return sample_conditioned(basis, n, delta, max_attempts, rng)
+    return _layout(scheme, basis, n, scheme_weight(scheme, alpha)).design(
+        basis, rng, scheme)
 
 
 def draw_designs(scheme, basis, n, gens, *, alpha=1.0):

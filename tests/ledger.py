@@ -80,6 +80,12 @@ def commands():
     out += [["dump-design", "--scheme", scheme, "--basis", basis, "--m", "5",
              "--n", "12", "--seed", "3"]
             for basis in ("hermite", "legendre", "pwc") for scheme in ALL_SCHEMES]
+    out += [["bounds", "--m", "50", "--eta", "1e-9", "--delta", "0.3"],
+            ["bounds", "--m", "20", "--n", "40", "--alpha", "0.25"],
+            ["bounds", "--m", "1", "--n", "1", "--eta", "0.01"],
+            ["bounds", "--m", "4", "--n", "8", "--xi-m", "1", "--r", "2",
+             "--alpha", "0.5", "--basis", "legendre"],
+            ["bounds", "--m", "5", "--n", "3"]]
     return out
 
 

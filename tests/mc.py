@@ -25,7 +25,7 @@ import numpy as np
 from dppls.experiments import (TARGETS, ExperimentConfig, _error_block,
                                _get_basis, _run_replicates, _worker_pool)
 from dppls.lsq import empirical_gram, empirical_seminorm, weighted_lsq_fit
-from dppls.samplers import (draw_design, make_weight, sample_christoffel,
+from dppls.samplers import (Weight, draw_design, sample_christoffel,
                             sample_dpp, sample_volume)
 
 _WORKERS = min(8, os.cpu_count() or 1)
@@ -113,16 +113,17 @@ def volume_trace_inv(family, m, n, total, seed, workers=_WORKERS):
                                 seed, workers))
 
 
-def _volume_coord(family, m, n, weight_kind, coord, gen):
+def _volume_coord(family, m, n, alpha, coord, gen):
     basis = _get_basis(family, m)
-    return sample_volume(basis, make_weight(weight_kind), n, gen).points[coord]
+    return sample_volume(basis, Weight(alpha), n, gen).points[coord]
 
 
-def volume_coord(family, m, n, total, seed, weight_kind="unit", coord=0,
+def volume_coord(family, m, n, total, seed, alpha=0.0, coord=0,
                  workers=_WORKERS):
-    """One fixed coordinate after the uniform permutation; its law is the
+    """One fixed coordinate after the uniform permutation, with extras
+    from the alpha-mixture (alpha = 0 is mu); its law is the
     single-coordinate marginal of the volume design."""
-    return np.array(_replicates(_volume_coord, (family, m, n, weight_kind, coord),
+    return np.array(_replicates(_volume_coord, (family, m, n, alpha, coord),
                                 906, total, seed, workers))
 
 

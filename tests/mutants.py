@@ -68,9 +68,8 @@ MUTANTS = (
            "eig = 0.5 * _tridiagonal_eigvalsh(",
            "eig = 0.495 * _tridiagonal_eigvalsh("),
     Mutant("unweighted-conditioning", "samplers.py",
-           "lam = empirical_gram(design, basis).lambda_min",
-           "lam = empirical_gram(replace(design, weights=np.ones(design.n)),"
-           " basis).lambda_min"),
+           "eigvalsh(weighted_gram(phi, w))",
+           "eigvalsh(weighted_gram(phi, np.ones_like(w)))"),
     Mutant("hermite-diagonal-x1.05", "samplers.py",
            "diag = gen.standard_normal(m)",
            "diag = 1.05 * gen.standard_normal(m)"),
@@ -115,6 +114,9 @@ MUTANTS = (
            "b = f_values[solve][..., None]", FIT_TARGETS),
     Mutant("singular-mask-on-lambda-max", "lsq.py",
            "weights[finite]))[:, 0]", "weights[finite]))[:, -1]", FIT_TARGETS),
+    Mutant("volume-tail-without-block", "bounds.py",
+           "return alpha, m, False", "return alpha, 0, False",
+           ("tests/test_bounds.py", "tests/test_cli.py")),
     Mutant("stream-key-before-replicate", "samplers.py",
            "    pool = pool * mix_l - mix_r * h\n"
            "    pool ^= pool >> shift\n"

@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppls.bases import make_basis
-from dppls.bounds import (chernoff_constants, dpp_chernoff_failure,
-                          iid_sample_size, k_constant, mixed_stability_bound,
-                          quasi_optimality_constant, repeated_dpp_sample_size,
-                          required_sample_size, stability_failure_bound,
-                          theory_bound, volume_sample_size)
+from dppls.bounds import (SCHEME_TAGS, chernoff_constants, k_constant,
+                          mixed_stability_bound, quasi_optimality_constant,
+                          required_sample_size, stability_failure_bound)
 from dppls.errors import ValidationError
-from dppls.samplers import make_weight
+from dppls.samplers import Weight
 
 import oracles
 
@@ -58,18 +56,18 @@ def test_constants_bracket_chain_dense():
 # sample-size formulas
 
 def test_iid_sample_size_reference():
-    assert iid_sample_size(20, 0.75, 0.5) == oracles.IID_N_M20
     assert required_sample_size("iid", 20, 0.75, 0.5) == oracles.IID_N_M20
 
 
 def test_volume_sample_size_adds_block():
-    assert volume_sample_size(20, 0.75, 0.5) == oracles.VOLUME_N_M20
     assert required_sample_size("volume", 20, 0.75, 0.5) == oracles.VOLUME_N_M20
 
 
 def test_repeated_dpp_sample_size_matches_iid_at_alpha_one():
-    assert repeated_dpp_sample_size(20, 0.75, 0.5) == oracles.IID_N_M20
     assert required_sample_size("repeated-dpp", 20, 0.75, 0.5) == oracles.IID_N_M20
+    # its rate does not depend on the mixture weight
+    assert required_sample_size("repeated-dpp", 20, 0.75, 0.5,
+                                alpha=0.5) == oracles.IID_N_M20
 
 
 def test_required_sample_size_unknown_tag():
@@ -78,43 +76,68 @@ def test_required_sample_size_unknown_tag():
 
 
 def test_half_alpha_doubles_the_iid_count():
-    full = iid_sample_size(20, 0.75, 0.5)
-    half = iid_sample_size(20, 0.75, 0.5, alpha=0.5)
+    full = required_sample_size("iid", 20, 0.75, 0.5)
+    half = required_sample_size("iid", 20, 0.75, 0.5, alpha=0.5)
     assert abs(half - 2 * full) <= 1
 
 
 def test_tiny_delta_needs_astronomical_n():
-    assert iid_sample_size(20, 1e-6, 0.5) > 10 ** 9
+    assert required_sample_size("iid", 20, 1e-6, 0.5) > 10 ** 9
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 150), delta=st.floats(0.05, 0.9),
        eta=st.floats(0.01, 0.95), alpha=st.floats(0.1, 1.0))
 def test_sample_size_monotonicity(m, delta, eta, alpha):
-    n = iid_sample_size(m, delta, eta, alpha)
-    assert iid_sample_size(m + 1, delta, eta, alpha) >= n
-    assert iid_sample_size(m, delta, eta / 2.0, alpha) >= n
-    assert iid_sample_size(m, delta, eta, alpha / 2.0) >= n
-    assert iid_sample_size(m, min(delta * 1.1, 0.99), eta, alpha) <= n
+    def size(m, delta, eta, alpha):
+        return required_sample_size("iid", m, delta, eta, alpha)
+
+    n = size(m, delta, eta, alpha)
+    assert size(m + 1, delta, eta, alpha) >= n
+    assert size(m, delta, eta / 2.0, alpha) >= n
+    assert size(m, delta, eta, alpha / 2.0) >= n
+    assert size(m, min(delta * 1.1, 0.99), eta, alpha) <= n
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(SCHEME_TAGS), m=st.integers(1, 60),
+       delta=st.floats(0.05, 0.95), eta=st.floats(1e-9, 0.95),
+       alpha=st.floats(0.1, 1.0))
+def test_required_sample_size_is_the_smallest_certified_n(scheme, m, delta,
+                                                          eta, alpha):
+    """At n = required_sample_size the tail bound is at most eta, and one
+    point fewer (while n - 1 >= m) leaves it above eta."""
+    n = required_sample_size(scheme, m, delta, eta, alpha)
+    bound = stability_failure_bound(scheme, m, n, delta, alpha)
+    assert bound.n == n
+    assert bound.predicted_failure_prob <= eta
+    if n - 1 >= m:
+        below = stability_failure_bound(scheme, m, n - 1, delta, alpha)
+        assert below.predicted_failure_prob > eta
 
 
 # ---------------------------------------------------------------------------
 # failure bounds
 
+def _dpp_failure(m, n, delta):
+    return stability_failure_bound("repeated-dpp", m, n,
+                                   delta).predicted_failure_prob
+
+
 def test_dpp_failure_reference_value():
-    got = dpp_chernoff_failure(10, 10, 0.75)
+    got = _dpp_failure(10, 10, 0.75)
     assert got == pytest.approx(oracles.DPP_FAILURE_M10_NEQM, abs=1e-12)
     assert round(got, 3) == 6.680
 
 
 def test_dpp_failure_decreases_in_n():
-    vals = [dpp_chernoff_failure(10, n, 0.75) for n in range(10, 60, 5)]
+    vals = [_dpp_failure(10, n, 0.75) for n in range(10, 60, 5)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_dpp_failure_needs_n_at_least_m():
     with pytest.raises(ValidationError):
-        dpp_chernoff_failure(10, 9, 0.75)
+        _dpp_failure(10, 9, 0.75)
 
 
 def test_stability_failure_bound_iid_formula():
@@ -148,11 +171,11 @@ def test_stability_failure_bound_validations():
 
 
 def test_theory_bound_certifies_eta():
-    for scheme in ("iid", "volume", "repeated-dpp"):
-        tb = theory_bound(scheme, 20, 0.75, 0.5)
-        assert tb.eta == 0.5
+    for scheme in SCHEME_TAGS:
+        n = required_sample_size(scheme, 20, 0.75, 0.5)
+        tb = stability_failure_bound(scheme, 20, n, 0.75)
         assert tb.predicted_failure_prob <= 0.5
-        assert tb.n == required_sample_size(scheme, 20, 0.75, 0.5)
+        assert tb.conjecture_dependent == (scheme == "repeated-dpp")
 
 
 def test_beta_tracks_alpha():
@@ -202,7 +225,7 @@ def test_mixed_stability_bound_validations():
 @pytest.mark.parametrize("family,m", [("legendre", 4), ("hermite", 6)])
 def test_k_constant_christoffel_weight_is_m(family, m):
     b = make_basis(family, m)
-    assert k_constant(b, make_weight("christoffel")) == pytest.approx(
+    assert k_constant(b, Weight(1.0)) == pytest.approx(
         float(m), abs=1e-10)
 
 
@@ -213,7 +236,7 @@ def test_k_constant_unit_weight_legendre():
 
 def test_k_constant_mixture_bounded_by_alpha_inverse_m():
     b = make_basis("legendre", 5)
-    got = k_constant(b, make_weight("mixture", alpha=0.3))
+    got = k_constant(b, Weight(0.3))
     assert float(5) <= got <= 5.0 / 0.3 + 1e-9
 
 

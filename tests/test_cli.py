@@ -78,6 +78,14 @@ def test_dump_design_subcommand(tmp_path):
     assert len(rows) == 7
 
 
+@pytest.mark.parametrize("alpha", ["0", "1.5"])
+def test_dump_design_volume_rejects_alpha_outside_unit_interval(alpha, capsys):
+    code = run(["dump-design", "--scheme", "volume", "--basis", "legendre",
+                "--m", "3", "--n", "7", "--alpha", alpha])
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_bounds_subcommand(tmp_path):
     out = tmp_path / "bounds.csv"
     code = run(["bounds", "--m", "20", "--out", str(out)])

@@ -14,7 +14,7 @@ from dppls.experiments import TARGETS
 from dppls.lsq import (ErrorEvaluator, averaged_estimator, empirical_gram,
                        empirical_seminorm, weighted_gram, weighted_lsq_fit,
                        weighted_lsq_fits)
-from dppls.samplers import (DesignSample, draw_design, make_weight,
+from dppls.samplers import (DesignSample, Weight, draw_design,
                             replicate_stream, sample_dpp)
 
 import mc
@@ -23,10 +23,10 @@ import oracles
 INV_QUAD = TARGETS["inv-quad"].evaluator
 
 
-def _design(points, basis, weight_kind="christoffel"):
+def _design(points, basis, alpha=1.0):
     points = np.asarray(points, dtype=float)
     phi = basis.feature_matrix(points)
-    return DesignSample(points, make_weight(weight_kind).evaluate(phi), phi,
+    return DesignSample(points, Weight(alpha).evaluate(phi), phi,
                         "fixed")
 
 
@@ -151,7 +151,7 @@ def test_fit_length_mismatch():
 
 def test_fit_rejects_singular_design():
     b = make_basis("pwc", 4)
-    d = _design([0.05, 0.1, 0.15, 0.2], b, "unit")
+    d = _design([0.05, 0.1, 0.15, 0.2], b, alpha=0.0)
     with pytest.raises(SingularDesignError) as info:
         weighted_lsq_fit(np.ones(4), d, b)
     assert info.value.lambda_min <= 1e-12
@@ -174,7 +174,7 @@ def test_stacked_fits_mask_failed_and_singular_rows():
     lambda_min is NaN for the non-finite row and 0 for the singular one."""
     b = make_basis("pwc", 4)
     good = draw_design("volume", b, 8, replicate_stream(79, 0))
-    hole = _design([0.05, 0.1, 0.15, 0.2, 0.6, 0.7, 0.8, 0.9], b, "unit")
+    hole = _design([0.05, 0.1, 0.15, 0.2, 0.6, 0.7, 0.8, 0.9], b, alpha=0.0)
     f = np.cos(good.points)
     phi = np.stack([good.features, good.features, hole.features])
     w = np.stack([good.weights, good.weights, hole.weights])

@@ -19,7 +19,7 @@ from dppls.lsq import ErrorEvaluator, _rule_for, empirical_gram
 from dppls.measures import UniformInterval
 from dppls.samplers import (SCHEMES, Weight, _sample_dpp_sequential,
                             canonical_scheme, draw_design, draw_designs,
-                            make_weight, replicate_stream, replicate_streams,
+                            replicate_stream, replicate_streams,
                             sample_christoffel, sample_conditioned,
                             sample_dpp, sample_repeated_dpp, sample_volume,
                             scheme_weight)
@@ -94,36 +94,42 @@ def test_replicate_stream_pickles_to_the_same_draws():
 
 def test_unit_weight_is_one():
     b = make_basis("legendre", 3)
-    w = make_weight("unit")
+    w = Weight(0.0)
     phi = b.feature_matrix(np.array([-0.5, 0.0, 0.5]))
     assert w.evaluate(phi).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_christoffel_weight_matches_density():
     b = make_basis("legendre", 3)
-    w = make_weight("christoffel")
+    w = Weight(1.0)
     xs = np.array([-0.8, 0.1, 0.6])
     assert np.array_equal(w.evaluate(b.feature_matrix(xs)), b.christoffel(xs))
 
 
 def test_mixture_weight_formula():
     b = make_basis("legendre", 3)
-    w = make_weight("mixture", alpha=0.25)
+    w = Weight(0.25)
     xs = np.array([-0.8, 0.1, 0.6])
     want = 0.25 * b.christoffel(xs) + 0.75
     assert np.allclose(w.evaluate(b.feature_matrix(xs)), want, atol=1e-15)
 
 
 def test_christoffel_kind_with_partial_alpha_becomes_mixture():
-    assert make_weight("christoffel", alpha=0.5).alpha == 0.5
-    assert make_weight("christoffel", alpha=1.0).alpha == 1.0
-    assert make_weight("unit").alpha == 0.0
+    """The volume scheme's Christoffel weight at alpha < 1 is the
+    mixture alpha w_m + (1 - alpha)."""
+    b = make_basis("legendre", 3)
+    phi = b.feature_matrix(np.array([-0.8, 0.1, 0.6]))
+    w = scheme_weight("volume", alpha=0.5)
+    assert np.array_equal(w.evaluate(phi), Weight(0.5).evaluate(phi))
+    assert np.allclose(w.evaluate(phi), 0.5 * b.christoffel(
+        np.array([-0.8, 0.1, 0.6])) + 0.5, atol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5])
 def test_mixture_alpha_domain(alpha):
+    """Volume designs need alpha in (0, 1]; alpha = 0 leaves w_m out."""
     with pytest.raises(ValidationError):
-        make_weight("mixture", alpha=alpha)
+        scheme_weight("volume", alpha=alpha)
 
 
 @pytest.mark.parametrize("alpha", [-0.2, 1.5, float("nan")])
@@ -134,13 +140,13 @@ def test_weight_alpha_domain(alpha):
 
 def test_unknown_weight_kind():
     with pytest.raises(ValidationError):
-        make_weight("bogus")
+        scheme_weight("bogus")
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0])
 def test_mixture_weight_has_unit_mass(alpha):
     b = make_basis("legendre", 4)
-    w = make_weight("mixture", alpha=alpha)
+    w = Weight(alpha)
     rule = b.measure.gauss_quadrature(b.m + 1)
     mass = rule.integrate(lambda x: w.evaluate(b.feature_matrix(x)))
     assert mass == pytest.approx(1.0, abs=1e-8)
@@ -460,24 +466,24 @@ def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
 def test_volume_needs_n_at_least_m():
     b = make_basis("legendre", 3)
     with pytest.raises(UnderdeterminedDesignError):
-        sample_volume(b, make_weight("christoffel"), 2, replicate_stream(29, 0))
+        sample_volume(b, Weight(1.0), 2, replicate_stream(29, 0))
 
 
 def test_volume_at_n_equal_m_matches_dpp_marginal():
     dpp = mc.dpp_all_coords("legendre", 3, 3_000, seed=30)
-    vol = mc.volume_coord("legendre", 3, 3, 3_000, seed=31, weight_kind="christoffel")
+    vol = mc.volume_coord("legendre", 3, 3, 3_000, seed=31, alpha=1.0)
     assert ks_2samp(dpp, vol).pvalue > 0.001
 
 
 def test_volume_unit_weight_coordinate_marginal():
-    xs = mc.volume_coord("legendre", 3, 6, 10_000, seed=32, weight_kind="unit")
+    xs = mc.volume_coord("legendre", 3, 6, 10_000, seed=32, alpha=0.0)
     cdf = oracles.volume_coordinate_cdf("legendre", 3, 6, base="mu")
     assert kstest(xs, cdf).statistic < 0.02
 
 
 def test_volume_christoffel_coordinate_marginal_collapses():
     """With the Christoffel filler the mixture marginal is nu_m itself."""
-    xs = mc.volume_coord("legendre", 3, 6, 6_000, seed=33, weight_kind="christoffel")
+    xs = mc.volume_coord("legendre", 3, 6, 6_000, seed=33, alpha=1.0)
     assert kstest(xs, oracles.christoffel_cdf("legendre", 3)).pvalue > 0.001
 
 
@@ -489,7 +495,7 @@ def test_volume_coordinates_exchangeable():
 
 def test_volume_weights_follow_weight_function():
     b = make_basis("legendre", 3)
-    w = make_weight("unit")
+    w = Weight(0.0)
     d = sample_volume(b, w, 6, replicate_stream(36, 0))
     assert d.n == 6
     assert d.weights.tolist() == [1.0] * 6
@@ -524,24 +530,23 @@ def test_repeated_dpp_needs_positive_n():
 
 def test_conditioned_pwc_accepts_first_attempt():
     b = make_basis("pwc", 4)
-    d = sample_conditioned(lambda g: sample_dpp(b, g), b, 0.5,
-                           rng=replicate_stream(40, 0))
+    d = sample_conditioned(b, 4, 0.5, rng=replicate_stream(40, 0))
     assert d.attempts == 1
-    assert d.sampler_id.endswith("-cond")
+    assert d.sampler_id == "repeated-dpp-cond"
 
 
 def test_conditioned_zero_attempts_fails():
     b = make_basis("pwc", 4)
     with pytest.raises(ConditioningFailureError):
-        sample_conditioned(lambda g: sample_dpp(b, g), b, 0.5,
-                           max_attempts=0, rng=replicate_stream(41, 0))
+        sample_conditioned(b, 4, 0.5, max_attempts=0,
+                           rng=replicate_stream(41, 0))
 
 
 def test_conditioned_reports_best_lambda_on_failure():
     b = make_basis("hermite", 5)
     with pytest.raises(ConditioningFailureError) as info:
-        sample_conditioned(lambda g: sample_repeated_dpp(b, 5, g), b,
-                           0.01, max_attempts=3, rng=replicate_stream(42, 0))
+        sample_conditioned(b, 5, 0.01, max_attempts=3,
+                           rng=replicate_stream(42, 0))
     assert info.value.attempts == 3
     assert info.value.best_lambda_min < 0.99
 
@@ -551,8 +556,7 @@ def test_conditioned_mean_attempts_moderate():
     b = make_basis("hermite", 10)
     total = 0
     for rep in range(100):
-        d = sample_conditioned(lambda g: sample_repeated_dpp(b, 20, g), b,
-                               0.75, rng=replicate_stream(43, rep))
+        d = sample_conditioned(b, 20, 0.75, rng=replicate_stream(43, rep))
         g = empirical_gram(d, b)
         assert g.lambda_min >= 0.25
         total += d.attempts
@@ -562,8 +566,27 @@ def test_conditioned_mean_attempts_moderate():
 def test_conditioned_delta_domain():
     b = make_basis("pwc", 4)
     with pytest.raises(ValidationError):
-        sample_conditioned(lambda g: sample_dpp(b, g), b, 1.5,
-                           rng=replicate_stream(44, 0))
+        sample_conditioned(b, 4, 1.5, rng=replicate_stream(44, 0))
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre"])
+def test_conditioned_design_is_the_accepted_repeated_dpp_draw(family):
+    """Attempt k is the stream's k-th sample_repeated_dpp draw, and the
+    rejected draws before it fail the event by empirical_gram's
+    lambda_min."""
+    b = make_basis(family, 5)
+    accepted = 0
+    for rep in range(20):
+        d = sample_conditioned(b, 7, 0.5, rng=replicate_stream(45, rep))
+        gen = replicate_stream(45, rep)
+        draws = [sample_repeated_dpp(b, 7, gen) for _ in range(d.attempts)]
+        assert all(empirical_gram(r, b).lambda_min < 0.5 for r in draws[:-1])
+        assert empirical_gram(draws[-1], b).lambda_min >= 0.5
+        for field in ("points", "weights", "features"):
+            assert np.array_equal(getattr(d, field), getattr(draws[-1], field))
+        accepted += d.attempts == 1
+    # the check above covers rejected attempts
+    assert accepted < 20
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +594,7 @@ def test_conditioned_delta_domain():
 
 def test_mixture_alpha_one_is_christoffel_law():
     b = make_basis("legendre", 4)
-    w = make_weight("mixture", alpha=1.0)
+    w = Weight(1.0)
     rng = replicate_stream(46, 0)
     mixed = _mixture_points(w, b, rng, 4_000)
     direct = np.array([sample_christoffel(b, replicate_stream(47, i))
@@ -581,7 +604,7 @@ def test_mixture_alpha_one_is_christoffel_law():
 
 def test_mixture_tiny_alpha_close_to_mu():
     b = make_basis("legendre", 4)
-    w = make_weight("mixture", alpha=1e-9)
+    w = Weight(1e-9)
     rng = replicate_stream(48, 0)
     xs = _mixture_points(w, b, rng, 10_000)
     assert kstest(xs, oracles.uniform_cdf).statistic < 0.02
@@ -596,7 +619,7 @@ def test_mixture_batch_cdf():
 
 def test_mixture_half_alpha_cdf():
     b = make_basis("legendre", 4)
-    w = make_weight("mixture", alpha=0.5)
+    w = Weight(0.5)
     rng = replicate_stream(49, 0)
     xs = _mixture_points(w, b, rng, 10_000)
     assert kstest(xs, oracles.mixture_cdf("legendre", 4, 0.5)).statistic < 0.02
@@ -612,8 +635,6 @@ def test_scheme_weight_kinds():
     assert scheme_weight("volume", alpha=0.5).alpha == 0.5
     assert scheme_weight("repeated-dpp").alpha == 1.0
     assert scheme_weight("repeated-dpp-cond").alpha == 1.0
-    with pytest.raises(ValidationError):
-        scheme_weight("bogus")
 
 
 def test_canonical_scheme_alias():
