@@ -20,12 +20,15 @@ from .bases import PiecewiseConstantBasis
 from .errors import (EmptyAggregateError, NumericError,
                      QuadratureAccuracyError, SingularDesignError,
                      ValidationError)
-from .measures import QuadratureRule, max_quad_order
+from .measures import (QuadratureRule, StandardGaussian, UniformInterval,
+                       max_quad_order)
 
 # lambda_min at or below this declares the design unusable; below unit
 # roundoff amplification for m <= 50
 SINGULARITY_THRESHOLD = 1e-12
 ADAPTIVE_RTOL = 1e-10
+# first step of the Gaussian measure's trapezoid rules
+TRAPEZOID_H0 = 0.5
 
 
 @dataclass(frozen=True)
@@ -159,41 +162,51 @@ def _rule_for(basis, order):
     if not isinstance(basis, PiecewiseConstantBasis):
         return basis.measure.gauss_quadrature(order)
     per_cell = max(2, math.ceil(order / basis.m))
-    t, u = np.polynomial.legendre.leggauss(per_cell)
+    cell = UniformInterval().gauss_quadrature(per_cell)
     edges = basis.cell_edges()
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    weights = np.broadcast_to(u / u.sum() / basis.m, (basis.m, per_cell)).ravel()
-    return QuadratureRule(nodes, weights.copy(), order)
+    nodes = (mid[:, None] + half[:, None] * cell.nodes[None, :]).ravel()
+    weights = np.tile(cell.weights / basis.m, basis.m)
+    return QuadratureRule(nodes, weights, order)
+
+
+def _rules(basis, cap):
+    """The rules `_adaptive` walks, coarse to fine, while their order
+    stays within cap: for the Gaussian measure trapezoid rules, from step
+    TRAPEZOID_H0 halving, each rebuilt whole (its order is its node
+    count); otherwise `_rule_for` at doubling orders from max(64, 2m)."""
+    if isinstance(basis.measure, StandardGaussian):
+        h = TRAPEZOID_H0
+        while (rule := basis.measure.trapezoid_rule(h, basis.m)).order <= cap:
+            yield rule
+            h /= 2
+        return
+    order = max(64, 2 * basis.m)
+    while order <= cap:
+        yield _rule_for(basis, order)
+        order *= 2
 
 
 def _adaptive(values_at, basis):
-    """Evaluate `values_at(rule)` at doubling quadrature orders, from order
-    max(64, 2m), until the result moves by less than ADAPTIVE_RTOL
-    (relative)."""
-    order = max(64, 2 * basis.m)
+    """Evaluate `values_at(rule)` on successive `_rules` until the result
+    moves by less than ADAPTIVE_RTOL (relative)."""
     cap = max_quad_order()
-    if order > cap:
-        raise QuadratureAccuracyError(
-            f"starting order {order} already exceeds the cap {cap}")
-    prev = np.asarray(values_at(_rule_for(basis, order)), dtype=float)
-    last_change = None
-    while True:
-        order *= 2
-        if order > cap:
-            raise QuadratureAccuracyError(
-                f"quadrature not converged below order cap {cap} "
-                f"(last relative change {last_change:.3e}); raise the "
-                f"DPPLS_MAX_QUAD_ORDER environment variable"
-                if last_change is not None else
-                f"order cap {cap} leaves no room to double from "
-                f"order {order // 2}")
-        cur = np.asarray(values_at(_rule_for(basis, order)), dtype=float)
-        last_change = _change(prev, cur)
-        if last_change < ADAPTIVE_RTOL:
-            return cur
+    prev = last_change = None
+    for rule in _rules(basis, cap):
+        cur = np.asarray(values_at(rule), dtype=float)
+        if prev is not None:
+            last_change = _change(prev, cur)
+            if last_change < ADAPTIVE_RTOL:
+                return cur
         prev = cur
+    raise QuadratureAccuracyError(
+        f"quadrature not converged below order cap {cap} "
+        f"(last relative change {last_change:.3e}); raise the "
+        f"DPPLS_MAX_QUAD_ORDER environment variable"
+        if last_change is not None else
+        f"order cap {cap} leaves no room for two quadrature rules; raise "
+        f"the DPPLS_MAX_QUAD_ORDER environment variable")
 
 
 def _change(a, b):
@@ -227,9 +240,11 @@ def _residual_norm(keep, c):
 
     The residual is integrated directly rather than through the expansion
     ||f||^2 - 2 c.a + ||c||^2, which cancels to a floor of about sqrt(eps)
-    ||f|| when f is close to phi c. (phi c)^2 has degree below twice the
-    rule's order, so its part is exact; the cross term is the certified
-    f-moment.
+    ||f|| when f is close to phi c. On a Gauss rule (phi c)^2, of degree
+    below twice the rule's order, is integrated exactly; on the Gaussian
+    measure's trapezoid rule it is only spectrally accurate, as the
+    rule's orthonormality of the features is. The cross term is the
+    certified f-moment.
     """
     r = keep["fvals"] - keep["feats"] @ c
     return math.sqrt(float(keep["rule"].weights @ (r * r)))

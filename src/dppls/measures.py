@@ -8,8 +8,12 @@ piecewise cubic (PCHIP) built and evaluated in numpy.
 
 The Gauss rules are numpy too: their nodes come from Newton's method on
 the three-term recurrence, started at asymptotic values of the zeros, and
-their weights from the Christoffel function of the same recurrence. No
-path of the module imports scipy or numpy.polynomial.
+their weights from the Christoffel function of the same recurrence. A
+q-point Gauss rule integrates polynomials up to degree 2q - 1 exactly.
+The Gaussian measure also has a trapezoid rule, exact for no polynomial
+degree but geometrically convergent, as its step halves, for integrands
+analytic in a strip about the real line. No path of the module imports
+scipy or numpy.polynomial.
 """
 
 import os
@@ -24,6 +28,9 @@ from .errors import (EmptyDesignError, NegativeDensityError, NotADensityError,
                      ValidationError)
 
 DEFAULT_MAX_QUAD_ORDER = 2048
+# the Gaussian trapezoid rules reach this far beyond the effective
+# support, past which every density it bounds is below eps of its peak
+TRAPEZOID_MARGIN = 6.0
 # Newton steps allowed for a Gauss rule's nodes; from the starting values
 # below every rule up to order 16384 settles in at most four
 NEWTON_ITERATIONS = 10
@@ -60,8 +67,10 @@ def max_quad_order():
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule for a probability measure: weights sum to 1 and the rule
-    integrates polynomials up to degree 2*order - 1 exactly."""
+    """Quadrature rule for a probability measure, with `order` nodes. A
+    Gauss rule's weights sum to 1 and it integrates polynomials up to
+    degree 2*order - 1 exactly; a trapezoid rule is exact for no degree,
+    only spectrally accurate (StandardGaussian.trapezoid_rule)."""
     nodes: np.ndarray
     weights: np.ndarray
     order: int
@@ -141,6 +150,20 @@ class StandardGaussian(ReferenceMeasure):
     def gauss_quadrature(self, order):
         nodes, weights = _gauss_hermite_prob(order)
         return QuadratureRule(nodes, weights, order)
+
+    def trapezoid_rule(self, h, m=1):
+        """Trapezoid rule with step h: nodes jh on [-L, L], L the effective
+        support for dimension m plus TRAPEZOID_MARGIN, weights h times the
+        density; `order` is the node count.
+
+        For integrands analytic in the strip |Im x| < a, such as
+        1 / (1 + 2 x^2) (a = 1 / sqrt(2)) times polynomials, the error
+        falls like exp(-2 pi a / h) (Trefethen and Weideman, SIAM Rev. 56,
+        2014), so a few hundred nodes reach double precision.
+        """
+        j = math.floor((self.effective_support(m)[1] + TRAPEZOID_MARGIN) / h)
+        nodes = h * np.arange(-j, j + 1, dtype=float)
+        return QuadratureRule(nodes, h * self.density(nodes), nodes.size)
 
     def effective_support(self, m=1):
         # all Hermite-weighted densities of degree < m are below 1e-12 of

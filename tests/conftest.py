@@ -23,10 +23,11 @@ def pytest_terminal_summary(terminalreporter):
 def quad_cap_2048(monkeypatch):
     """Pin the adaptive-quadrature order cap at 2048.
 
-    The Gaussian-measure error paths certify convergence by doubling the
-    order until successive values agree to 1e-10; for the shipped target
-    that certification lands at orders 800-1280, above 512 and below the
-    default cap of 2048. Tests exercising those paths pin the cap so that
-    a DPPLS_MAX_QUAD_ORDER set in the environment cannot change them.
+    The Gaussian-measure error paths certify convergence by halving a
+    trapezoid rule's step until successive values agree to 1e-10; for the
+    shipped target that certification lands at 577-775 nodes (m = 10-50),
+    above 512 and below the default cap of 2048. Tests exercising those
+    paths pin the cap so that a DPPLS_MAX_QUAD_ORDER set in the
+    environment cannot change them.
     """
     monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "2048")

@@ -153,7 +153,7 @@ import dppls
 # numpy.random costs 6 MB of RSS; it loads on the first draw, not on import
 assert "numpy.random" not in sys.modules
 from dppls import cli
-from dppls.bases import HermiteBasis
+from dppls.bases import HermiteBasis, PiecewiseConstantBasis
 from dppls.experiments import TARGETS
 from dppls.lsq import ErrorEvaluator
 
@@ -179,13 +179,25 @@ assert not loaded("scipy"), loaded("scipy")
 for m in (10, 20, 30, 40, 50):
     ErrorEvaluator(TARGETS["inv-quad"].evaluator, HermiteBasis(m))
 assert not loaded("scipy"), loaded("scipy")
+# the pwc evaluator takes its per-cell rule from the package's own
+# Gauss-Legendre, not numpy.polynomial's
+ErrorEvaluator(TARGETS["inv-quad"].evaluator, PiecewiseConstantBasis(8))
+assert not loaded("numpy.polynomial"), loaded("numpy.polynomial")
+# the error table's quantile is np.quantile's without its numpy.ma import
+sys.stdout = io.StringIO()
+code = cli.main(["error-table", "--basis", "hermite", "--m", "10", "--n", "20",
+                 "--scheme", "iid-mu", "--replicates", "20", "--workers", "1"])
+sys.stdout = sys.__stdout__
+assert code == 0
+assert "numpy.ma" not in sys.modules
+assert not loaded("scipy"), loaded("scipy")
 """
 
 
 def test_import_does_not_load_scipy():
     """The samplers run on numpy alone, without numpy.ma or
-    numpy.polynomial; the Gauss rules and the Hermite error evaluators
-    load no scipy either."""
+    numpy.polynomial; the Gauss rules and the error evaluators load no
+    scipy or numpy.polynomial, and an error-table cell no numpy.ma."""
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
                           capture_output=True, text=True,
                           env=dict(os.environ, DPPLS_MAX_QUAD_ORDER="2048"))

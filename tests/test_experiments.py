@@ -441,6 +441,22 @@ def test_capped_replicates_agree_between_table_and_histogram():
         float(np.quantile(errs, 0.95, method="linear")), rel=1e-12)
 
 
+def test_quantile95_is_numpy_linear_quantile_bit_for_bit():
+    """The error table's q95 equals np.quantile(..., method="linear") to
+    the bit: n = 1 and 2, ties, BLOWUP_CAP entries, and random arrays."""
+    rng = np.random.default_rng(95)
+    cases = [[0.3], [0.2, 0.1], [0.1, BLOWUP_CAP], [BLOWUP_CAP] * 3,
+             [2.0] * 20, [0.5, 0.5, 0.25, 0.5], [1e-300, 1e300]]
+    for _ in range(2000):
+        x = rng.lognormal(0.0, 3.0, int(rng.integers(1, 120)))
+        x[rng.random(x.size) < 0.2] = BLOWUP_CAP
+        cases += [x, np.round(x, 1)]
+    for x in cases:
+        q = np.quantile(np.asarray(x, dtype=float), 0.95, method="linear")
+        assert np.float64(experiments._quantile95(list(x))).tobytes() \
+            == q.tobytes(), x
+
+
 def test_unreachable_conditioning_reported_as_failures():
     config = ExperimentConfig(basis_family="legendre", m_values=(3,),
                               n_values=(3,), schemes=("repeated-dpp-cond",),

@@ -258,11 +258,39 @@ def test_hermite_even_target_parity(quad_cap_2048):
     assert np.all(np.abs(ev.best_coefficients[1::2]) < 1e-12)
 
 
-@pytest.mark.parametrize("m", [10, 30, 50])
+@pytest.mark.parametrize("m", sorted(oracles.BEST_REL_HERMITE))
 def test_hermite_best_relative_error_matches_oracle(m, quad_cap_2048):
     ev = ErrorEvaluator(INV_QUAD, make_basis("hermite", m))
     assert ev.best_rel_error == pytest.approx(oracles.BEST_REL_HERMITE[m],
                                               abs=1e-8)
+
+
+def _certified_rule(m):
+    """The trapezoid rule that certifies the Hermite m evaluator."""
+    rule = ErrorEvaluator(INV_QUAD, make_basis("hermite", m)).rule
+    assert rule.order == rule.nodes.size <= 2048
+    return rule
+
+
+@pytest.mark.parametrize("m", sorted(oracles.BEST_REL_HERMITE))
+def test_certified_trapezoid_even_moments(m, quad_cap_2048):
+    """E[x^2k] = (2k - 1)!! for k <= m on the certified rule."""
+    rule = _certified_rule(m)
+    for k in range(m + 1):
+        assert rule.integrate(rule.nodes ** (2 * k)) == pytest.approx(
+            math.prod(range(1, 2 * k, 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", sorted(oracles.BEST_REL_HERMITE))
+def test_certified_trapezoid_keeps_features_orthonormal(m, quad_cap_2048):
+    """Phi^T W Phi = I, which `_residual_norm`'s direct integral of the
+    residual relies on, and the mean of the target in closed form."""
+    rule = _certified_rule(m)
+    phi = make_basis("hermite", m).feature_matrix(rule.nodes)
+    gram = phi.T @ (rule.weights[:, None] * phi)
+    assert np.abs(gram - np.eye(m)).max() <= 1e-12
+    assert rule.integrate(INV_QUAD) == pytest.approx(
+        oracles.gauss_invquad_mean_closed_form(), rel=1e-12)
 
 
 def test_hermite_target_norm_matches_closed_form(quad_cap_2048):
@@ -272,9 +300,24 @@ def test_hermite_target_norm_matches_closed_form(quad_cap_2048):
 
 
 def test_error_evaluator_rejects_default_cap_for_gaussian_target(monkeypatch):
+    """m = 10 certifies on a 577-node trapezoid rule, above a cap of 512."""
     monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "512")
     with pytest.raises(QuadratureAccuracyError):
         ErrorEvaluator(INV_QUAD, make_basis("hermite", 10))
+
+
+def test_gaussian_cap_counts_trapezoid_nodes(monkeypatch):
+    """The cap bounds the node count: m = 10 certifies at a cap of 577
+    and not at 576, and a cap that admits one rule only cannot certify."""
+    basis = make_basis("hermite", 10)
+    monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "577")
+    assert ErrorEvaluator(INV_QUAD, basis).rule.order == 577
+    monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "576")
+    with pytest.raises(QuadratureAccuracyError, match="not converged"):
+        ErrorEvaluator(INV_QUAD, basis)
+    monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "100")
+    with pytest.raises(QuadratureAccuracyError, match="no room"):
+        ErrorEvaluator(INV_QUAD, basis)
 
 
 def test_error_evaluator_exact_for_target_in_space():

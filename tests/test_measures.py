@@ -166,7 +166,8 @@ def test_nodes_are_the_jacobi_eigenvalues(kind, order, quad_cap_2048):
 def test_unsettled_newton_raises_and_error_cell_fails(monkeypatch, tmp_path,
                                                       quad_cap_2048):
     """With one Newton step allowed no rule of order >= 2 settles: building
-    one raises QuadratureAccuracyError, and an error-table cell writes its
+    one raises QuadratureAccuracyError, and an error-table cell on the
+    Legendre basis, whose evaluator certifies on Gauss rules, writes its
     row with best at NaN and every replicate counted as failed."""
     from dppls import cli, experiments
     monkeypatch.setattr(measures, "NEWTON_ITERATIONS", 1)
@@ -179,7 +180,7 @@ def test_unsettled_newton_raises_and_error_cell_fails(monkeypatch, tmp_path,
                 measure.gauss_quadrature(order)
     out = tmp_path / "t.csv"
     schemes = ["iid-mu", "volume"]
-    assert cli.main(["error-table", "--basis", "hermite", "--scheme", *schemes,
+    assert cli.main(["error-table", "--basis", "legendre", "--scheme", *schemes,
                      "--m", "10", "--n", "20", "--replicates", "3",
                      "--workers", "1", "--out", str(out)]) == 0
     header, row = out.read_text().splitlines()
@@ -201,6 +202,21 @@ def test_high_order_weights_are_a_probability_vector(monkeypatch):
         assert np.all(np.isfinite(w))
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("m, h", [(1, 0.5), (10, 0.0625), (50, 0.125)])
+def test_trapezoid_rule_is_the_step_times_the_density(m, h):
+    """Nodes jh out to the effective support plus the margin, weights h
+    times the density, order the node count; the weights sum to 1 to
+    spectral accuracy."""
+    rule = GAUSSIAN.trapezoid_rule(h, m)
+    half = GAUSSIAN.effective_support(m)[1] + measures.TRAPEZOID_MARGIN
+    assert rule.order == rule.nodes.size and rule.order % 2 == 1
+    assert np.array_equal(rule.nodes,
+                          h * (np.arange(rule.order) - rule.order // 2))
+    assert rule.nodes[-1] <= half < rule.nodes[-1] + h
+    assert np.array_equal(rule.weights, h * GAUSSIAN.density(rule.nodes))
+    assert abs(rule.weights.sum() - 1.0) < 1e-14
 
 
 def test_order_above_cap_rejected():

@@ -406,9 +406,9 @@ def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
     On the models' own matrices, drawn as stacks of 200, the helper equals
     scipy's 'sterf' matrix by matrix and bit for bit, and 'stemr' differs
     by rounding only. The Gauss rules find their nodes by Newton's method;
-    built on scipy's 'sterf' eigenvalues instead, with the same Christoffel
-    weights, they move the Hermite m = 10 best error by rounding only and
-    certify it at the same order."""
+    built on scipy's 'sterf' eigenvalues of the Legendre Jacobi matrix
+    instead, with the same Christoffel weights, they move the Legendre
+    m = 10 best error by rounding only and certify it at the same order."""
 
     def stemr(d, e):
         return eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
@@ -441,7 +441,8 @@ def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
 
     def sterf_rule(measure, order):
         orders.append(order)
-        off = np.sqrt(np.arange(1, order, dtype=float))
+        k = np.arange(1, order, dtype=float)
+        off = k / np.sqrt(4.0 * k * k - 1.0)
         nodes = eigvalsh_tridiagonal(np.zeros(order), off, lapack_driver="sterf")
         _, _, total, shift = measures._recurrence(nodes, off)
         weights = np.ldexp(1.0 / total, -2 * shift)
@@ -449,11 +450,11 @@ def test_results_do_not_depend_on_tridiagonal_driver(monkeypatch,
 
     def best_rel_error():
         evaluator = ErrorEvaluator(TARGETS["inv-quad"].evaluator,
-                                   HermiteBasis(10))
+                                   LegendreBasis(10))
         return evaluator.best_rel_error, evaluator.rule.order
 
     best, order = best_rel_error()
-    monkeypatch.setattr(measures.StandardGaussian, "gauss_quadrature",
+    monkeypatch.setattr(measures.UniformInterval, "gauss_quadrature",
                         sterf_rule)
     best_sterf, order_sterf = best_rel_error()
     assert orders[-1] == order_sterf == order
