@@ -6,6 +6,7 @@ dump-design, bounds. All emit CSV to --out or stdout. Exit codes:
 """
 
 import argparse
+import functools
 import sys
 
 from .bases import BASIS_FAMILIES, make_basis
@@ -48,7 +49,9 @@ def _add_common(p, *, schemes, default_schemes, default_replicates,
     p.add_argument("--workers", type=int, default=1)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared: read-only."""
     parser = argparse.ArgumentParser(
         prog="dppls",
         description="Weighted least-squares function approximation from "

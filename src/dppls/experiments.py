@@ -58,6 +58,8 @@ BLOCK = 256
 # feature values (streams x n x m) per stacked draw of a block, 2 MB of
 # float64: a block is drawn in sub-blocks of at most this size
 BLOCK_ELEMENTS = 1 << 18
+# consecutive n per round trip of minimal_stable_n's walk
+WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -263,21 +265,20 @@ def _conjecture_block(config, m, gens):
 
 
 def _run_chunk(task):
-    """Replicates [start, stop) of one job, in replicate order: the job
-    function takes their streams in blocks of at most BLOCK and returns
-    one record per stream."""
-    fn, args, key, seed, start, stop = task
-    records = []
-    for a in range(start, stop, BLOCK):
-        records += fn(*args, replicate_streams(
-            seed, range(a, min(a + BLOCK, stop)), *key))
-    return records
+    """Replicates [start, stop) of every job, one record list per job in
+    replicate order: each job function takes their streams in blocks of
+    at most BLOCK and returns one record per stream."""
+    jobs, seed, start, stop = task
+    blocks = [range(a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK)]
+    return [[rec for block in blocks
+             for rec in fn(*args, replicate_streams(seed, block, *key))]
+            for fn, args, key in jobs]
 
 
 def _chunk_ranges(replicates, workers):
-    """Contiguous replicate ranges, one per requested worker. A driver
-    hands the pool every job's ranges at once, so load still balances
-    across its jobs."""
+    """Contiguous replicate ranges, one per requested worker. Each range
+    is one pool task that carries every job of the call, so the tasks
+    hold equal work."""
     if workers <= 1:
         return [(0, replicates)]
     size = max(1, math.ceil(replicates / workers))
@@ -291,11 +292,13 @@ def _worker_pool(workers):
     The pool never has more processes than the CPUs this process may run
     on. Chunking still follows the requested worker count, so the output
     does not depend on the machine. Workers keep their basis and sampler
-    caches for as long as the pool is open.
+    caches for as long as the pool is open, and inherit numpy.random,
+    imported here before they fork instead of in each on its first draw.
     """
     if workers <= 1:
         yield None
         return
+    import numpy.random  # noqa: F401
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -310,14 +313,14 @@ def _run_replicates(jobs, replicates, seed, workers, pool):
     replicate r < replicates, made by fn(*args, streams) from the stream
     replicate_stream(seed, r, *key) (see _run_chunk).
 
-    Replicates are chunked by the requested worker count; pool.map keeps
-    task order, so the chunks of each job come back consecutively.
+    Replicates are chunked by the requested worker count, one task per
+    chunk carrying every job; pool.map keeps task order, so each job's
+    records are its chunks' lists joined in order.
     """
-    ranges = _chunk_ranges(replicates, workers)
-    tasks = [(fn, args, key, seed, a, b) for (fn, args, key) in jobs
-             for (a, b) in ranges]
-    chunks = (map if pool is None else pool.map)(_run_chunk, tasks)
-    return [[rec for _ in ranges for rec in next(chunks)] for _ in jobs]
+    tasks = [(jobs, seed, a, b) for (a, b) in _chunk_ranges(replicates, workers)]
+    chunks = list((map if pool is None else pool.map)(_run_chunk, tasks))
+    return [[rec for chunk in chunks for rec in chunk[j]]
+            for j in range(len(jobs))]
 
 
 def _run_cells(fn, config, cells, pool):
@@ -536,17 +539,19 @@ def minimal_stable_n(basis_family, scheme, m, delta, replicates, seed,
                      n_max, workers=1, alpha=1.0):
     """Smallest n with empirical P(lambda_min(G^w) >= 1-delta) >= 1/2,
     walking n upward from m; None when n_max is passed without reaching
-    the threshold. One worker pool serves the whole walk."""
+    the threshold. One worker pool serves the whole walk, which runs
+    WINDOW consecutive n per round trip and returns the first hit."""
+    m, n_max = int(m), int(n_max)
+    config = ExperimentConfig(basis_family=basis_family, schemes=(scheme,),
+                              m_values=(m,), replicates=replicates, seed=seed,
+                              delta=delta, workers=workers, alpha=alpha)
     with _worker_pool(workers) as pool:
-        for n in range(int(m), int(n_max) + 1):
-            config = ExperimentConfig(basis_family=basis_family,
-                                      schemes=(scheme,), m_values=(m,),
-                                      n_values=(n,), replicates=replicates,
-                                      seed=seed, delta=delta, workers=workers,
-                                      alpha=alpha)
-            [records] = _run_cells(_stability_block, config,
-                                   [(m, n, scheme)], pool)
-            hits = sum(ev for (status, ev) in records if status == "ok")
-            if hits / replicates >= 0.5:
-                return n
+        for low in range(m, n_max + 1, WINDOW):
+            ns = range(low, min(low + WINDOW, n_max + 1))
+            results = _run_cells(_stability_block, config,
+                                 [(m, n, scheme) for n in ns], pool)
+            for n, records in zip(ns, results):
+                hits = sum(ev for (status, ev) in records if status == "ok")
+                if hits / replicates >= 0.5:
+                    return n
     return None

@@ -101,6 +101,17 @@ MUTANTS = (
            "lam_iid, lam_dpp = np.array(records).T",
            ("tests/test_experiments.py",
             "tests/test_acceptance.py::test_criterion_10_spectral_tail_comparison")),
+    Mutant("window-returns-last-hit", "experiments.py",
+           "for n, records in zip(ns, results):",
+           "for n, records in reversed(list(zip(ns, results))):",
+           ("tests/test_experiments.py",)),
+    Mutant("runner-chunks-interleaved", "experiments.py",
+           "    return [[rec for chunk in chunks for rec in chunk[j]]\n"
+           "            for j in range(len(jobs))]\n",
+           "    flat = [rec for chunk in chunks for recs in chunk for rec in recs]\n"
+           "    return [flat[j * replicates:(j + 1) * replicates]\n"
+           "            for j in range(len(jobs))]\n",
+           ("tests/test_experiments.py",)),
     Mutant("gauss-newton-on-p-q-minus-1", "measures.py",
            "        p = (x * cur - back * prev) / b[-1]\n"
            "        step = p / derivative(x, cur, p)",

@@ -5,6 +5,8 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -623,19 +625,78 @@ def test_minimal_stable_n_worker_count_invariant():
 
 
 def test_minimal_stable_n_opens_one_capped_pool(monkeypatch):
-    sizes = []
+    sizes, maps = [], []
 
     class CountingPool(experiments.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
+        def map(self, fn, tasks, **kwargs):
+            tasks = list(tasks)
+            maps.append(len(tasks))
+            return super().map(fn, tasks, **kwargs)
+
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
-    # the walk visits n = 3, 4, 5 before it stops
+    # n* = 5 lies in the first window, n = 3..10: one round trip, one
+    # task per chunk range
     got = minimal_stable_n("legendre", "iid-christoffel", 3, 0.75,
                            replicates=30, seed=0, n_max=30, workers=8)
     assert got == 5
     assert sizes == [min(8, len(os.sched_getaffinity(0)))]
+    assert maps == [len(experiments._chunk_ranges(30, 8))]
+
+
+def _reference_walk(family, scheme, m, delta, replicates, seed, n_max):
+    """n* from a plain walk over stability_map's p_hat at n = m..n_max."""
+    config = ExperimentConfig(basis_family=family, schemes=(scheme,),
+                              m_values=(m,), n_values=range(m, n_max + 1),
+                              replicates=replicates, seed=seed, delta=delta)
+    _, rows = stability_map(config, out=io.StringIO())
+    return next((n for (_, n, _, p_hat, *_) in rows if p_hat >= 0.5), None)
+
+
+@pytest.mark.parametrize("delta, seed, n_max, position", [
+    (0.75, 0, 20, 0),                      # n* = 11 opens the second window
+    (0.75, 1, 20, 4),                      # n* = 7, with a later hit at 9
+    (0.5, 2, 30, experiments.WINDOW - 1),  # n* = 18 closes the second window
+    (0.5, 0, 19, None),                    # n* = 20: the last window clipped
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_minimal_stable_n_matches_reference_walk(delta, seed, n_max,
+                                                 position, workers):
+    """The windowed walk returns the first n whose stability_map p_hat
+    reaches 1/2, wherever it falls in its window (its offset from m
+    modulo WINDOW is `position`), and None past n_max."""
+    args = ("hermite", "iid-mu", 3, delta, 20, seed, n_max)
+    want = _reference_walk(*args)
+    if position is None:
+        assert want is None and (n_max - 3 + 1) % experiments.WINDOW != 0
+    else:
+        assert (want - 3) % experiments.WINDOW == position
+    assert minimal_stable_n(*args, workers=workers) == want
+
+
+_FORK_PROBE = """
+import sys
+import dppls
+from dppls import experiments
+assert "numpy.random" not in sys.modules
+
+def loaded():
+    return "numpy.random" in sys.modules
+
+with experiments._worker_pool(2) as pool:
+    assert pool.submit(loaded).result(timeout=60)
+"""
+
+
+def test_pool_workers_fork_with_numpy_random():
+    """A pool's workers inherit numpy.random from the parent, which
+    imports it only when it opens the pool."""
+    proc = subprocess.run([sys.executable, "-c", _FORK_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
