@@ -1,7 +1,7 @@
 """Weighted least-squares approximation of functions in L^2_mu from
 random point evaluations.
 
-The package provides reference measures with Gauss quadrature
+The package provides reference measures with their quadrature rules
 (`measures`), orthonormal feature bases (`bases`), the random design
 samplers built on the inverse Christoffel density and the projection
 process (`samplers`), weighted least-squares fitting with exact-norm

@@ -367,6 +367,15 @@ def write_csv(out, header, rows):
 # ---------------------------------------------------------------------------
 # experiment drivers
 
+def _check_stability_schemes(config):
+    """Raise ValidationError unless every scheme of the config, aliases
+    mapped, is one of STABILITY_SCHEMES."""
+    for s in config.schemes:
+        if s not in STABILITY_SCHEMES:
+            raise ValidationError(
+                f"stability statistics support {STABILITY_SCHEMES}, got {s!r}")
+
+
 def stability_map(config, out=None):
     """Empirical P(lambda_min(G^w) >= 1 - delta) over the (m, n) grid.
 
@@ -374,10 +383,7 @@ def stability_map(config, out=None):
     the failures column and as a miss in p_hat (the denominator stays at
     `replicates`).
     """
-    for s in config.schemes:
-        if s not in STABILITY_SCHEMES:
-            raise ValidationError(
-                f"stability map supports {STABILITY_SCHEMES}, got {s!r}")
+    _check_stability_schemes(config)
     cells = [(m, n, s) for m in config.m_values for n in config.n_for(m)
              for s in config.schemes]
     with _worker_pool(config.workers) as pool:
@@ -545,6 +551,8 @@ def minimal_stable_n(basis_family, scheme, m, delta, replicates, seed,
     config = ExperimentConfig(basis_family=basis_family, schemes=(scheme,),
                               m_values=(m,), replicates=replicates, seed=seed,
                               delta=delta, workers=workers, alpha=alpha)
+    _check_stability_schemes(config)
+    scheme = config.schemes[0]
     with _worker_pool(workers) as pool:
         for low in range(m, n_max + 1, WINDOW):
             ns = range(low, min(low + WINDOW, n_max + 1))

@@ -153,9 +153,10 @@ def averaged_estimator(fits):
 # quadrature-backed exact norms
 
 def _rule_for(basis, order):
-    """Quadrature for integrals of (basis function) x (smooth target).
+    """Quadrature for integrals of (basis function) x (smooth target) on
+    a uniform measure, the only one with Gauss rules.
 
-    Polynomial families use the measure's Gauss rule directly. The
+    The Legendre family uses the measure's Gauss rule directly. The
     piecewise-constant family gets a composite per-cell Gauss rule, since
     a global rule cannot see the cell boundaries.
     """

@@ -1,4 +1,4 @@
-"""Reference probability measures on the line, Gauss quadrature, and a grid
+"""Reference probability measures on the line, quadrature rules, and a grid
 based inverse-CDF sampler for densities g with respect to the measure.
 
 The samplers tabulate one such density per basis, the inverse Christoffel
@@ -6,14 +6,14 @@ density w_m of nu_m = w_m mu; the DPP conditionals are drawn by rejection
 from nu_m and need no table of their own. The inverse CDF is a monotone
 piecewise cubic (PCHIP) built and evaluated in numpy.
 
-The Gauss rules are numpy too: their nodes come from Newton's method on
-the three-term recurrence, started at asymptotic values of the zeros, and
-their weights from the Christoffel function of the same recurrence. A
-q-point Gauss rule integrates polynomials up to degree 2q - 1 exactly.
-The Gaussian measure also has a trapezoid rule, exact for no polynomial
-degree but geometrically convergent, as its step halves, for integrands
-analytic in a strip about the real line. No path of the module imports
-scipy or numpy.polynomial.
+The uniform measure has Gauss-Legendre rules, in numpy too: their nodes
+come from Newton's method on the three-term recurrence, started at
+Tricomi's values of the zeros, and their weights from the Christoffel
+function of the same recurrence. A q-point Gauss rule integrates
+polynomials up to degree 2q - 1 exactly. The Gaussian measure has a
+trapezoid rule instead, exact for no polynomial degree but geometrically
+convergent, as its step halves, for integrands analytic in a strip about
+the real line. No path of the module imports scipy or numpy.polynomial.
 """
 
 import os
@@ -31,15 +31,16 @@ DEFAULT_MAX_QUAD_ORDER = 2048
 # the Gaussian trapezoid rules reach this far beyond the effective
 # support, past which every density it bounds is below eps of its peak
 TRAPEZOID_MARGIN = 6.0
-# Newton steps allowed for a Gauss rule's nodes; from the starting values
-# below every rule up to order 16384 settles in at most four
+# Newton steps allowed for a Gauss rule's nodes; from Tricomi's values
+# every rule up to order 16384 settles in at most four
 NEWTON_ITERATIONS = 10
-# the first zeros of the Airy function Ai
-_AIRY_ZEROS = np.array([
-    -2.338107410459767, -4.08794944413097, -5.520559828095551,
-    -6.786708090071759, -7.944133587120853, -9.02265085334098,
-    -10.040174341558085, -11.008524303733262, -11.936015563236262,
-    -12.828776752865757])
+# the grid a density is tabulated on: GRID_CELLS uniform cells on its
+# support, then up to GRID_REFINEMENTS rounds bisecting every cell heavier
+# than GRID_MAX_CELL_MASS; its total mass must be 1 within GRID_MASS_TOL
+GRID_CELLS = 2048
+GRID_MAX_CELL_MASS = 1e-3
+GRID_REFINEMENTS = 12
+GRID_MASS_TOL = 1e-8
 
 # fixed 4-point Gauss-Legendre rule used per grid cell when integrating
 # densities; exact on each cell for polynomials up to degree 7. These are
@@ -81,8 +82,9 @@ class QuadratureRule:
 
 
 class ReferenceMeasure:
-    """A 1-D probability measure with density, i.i.d. sampling and Gauss
-    quadrature. Concrete kinds: UniformInterval, StandardGaussian."""
+    """A 1-D probability measure with density and i.i.d. sampling.
+    Concrete kinds: UniformInterval, with Gauss quadrature, and
+    StandardGaussian, with a trapezoid rule."""
 
     def density(self, x):
         raise NotImplementedError
@@ -123,7 +125,7 @@ class UniformInterval(ReferenceMeasure):
         return rng.uniform(self.a, self.b, size=n)
 
     def gauss_quadrature(self, order):
-        nodes, weights = _gauss_jacobi_uniform(order)
+        nodes, weights = _gauss_legendre(_check_order(order))
         mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
         return QuadratureRule(mid + half * nodes, weights, order)
@@ -146,10 +148,6 @@ class StandardGaussian(ReferenceMeasure):
         if n < 1:
             raise EmptyDesignError("need n >= 1 draws")
         return rng.standard_normal(size=n)
-
-    def gauss_quadrature(self, order):
-        nodes, weights = _gauss_hermite_prob(order)
-        return QuadratureRule(nodes, weights, order)
 
     def trapezoid_rule(self, h, m=1):
         """Trapezoid rule with step h: nodes jh on [-L, L], L the effective
@@ -207,16 +205,17 @@ def _recurrence(x, offdiag):
     return prev, cur, total, shift
 
 
-def _gauss_rule(b, guess, derivative):
-    """Nodes and probability weights of the q-point Gauss rule of a
-    symmetric measure whose orthonormal polynomials p_k satisfy the
-    recurrence with coefficients b = (b_1, ..., b_q).
+@lru_cache(maxsize=64)
+def _gauss_legendre(q):
+    """Nodes and probability weights of the q-point Gauss rule of the
+    uniform measure on [-1, 1], whose orthonormal polynomials
+    p_k = sqrt(2k + 1) P_k satisfy the recurrence with coefficients
+    b_k = k / sqrt(4k^2 - 1).
 
     The nodes are the zeros of p_q: an exact 0 for odd q, and the positive
-    zeros, found by Newton's method from `guess` (their asymptotic values,
-    largest first) and mirrored; `derivative(x, p_{q-1}, p_q)` gives p_q'.
-    Settled, distinct and positive, the floor(q/2) values are all of p_q's
-    positive zeros; otherwise the rule raises.
+    zeros, found by Newton's method from Tricomi's values (largest first)
+    and mirrored. Settled, distinct and positive, the floor(q/2) values
+    are all of p_q's positive zeros; otherwise the rule raises.
 
     Each weight is the Christoffel function at its node,
     1 / sum_{k<q} p_k(x)^2, from the recurrence run that found the nodes
@@ -225,15 +224,23 @@ def _gauss_rule(b, guess, derivative):
     largest weight, this keeps every weight accurate relative to itself,
     tail weights included.
     """
-    q = b.size
+    k = np.arange(1, q + 1, dtype=float)
+    b = k / np.sqrt(4.0 * k * k - 1.0)
     offdiag = b[:-1]
     back = offdiag[-1] if q > 1 else 0.0
-    x = np.concatenate((np.zeros(q % 2), guess[::-1]))
+    # Tricomi's values for the positive zeros of P_q, largest first
+    j = np.arange(1, q // 2 + 1)
+    tricomi = ((1.0 - 1.0 / (8.0 * q * q) + 1.0 / (8.0 * q ** 3))
+               * np.cos(np.pi * (4 * j - 1) / (4 * q + 2)))
+    x = np.concatenate((np.zeros(q % 2), tricomi[::-1]))
+    # (1 - x^2) P_q' = q (P_{q-1} - x P_q), so that
+    # p_q' = q (c p_{q-1} - x p_q) / (1 - x^2)
+    c = math.sqrt((2.0 * q + 1.0) / (2.0 * q - 1.0))
     for _ in range(NEWTON_ITERATIONS):
         prev, cur, total, shift = _recurrence(x, offdiag)
         # one more step, with b_q, from p_{q-2} and p_{q-1} to p_q
         p = (x * cur - back * prev) / b[-1]
-        step = p / derivative(x, cur, p)
+        step = p / (q * (c * cur - x * p) / ((1.0 - x) * (1.0 + x)))
         # settled: every step within 4 units in the last place of
         # max(node, 1), the rounding floor of the recurrence's p_q
         if np.all(np.abs(step) <= 4.0 * np.spacing(np.maximum(x, 1.0))):
@@ -258,75 +265,6 @@ def _gauss_rule(b, guess, derivative):
     return nodes, weights
 
 
-def _legendre_guess(q):
-    """Tricomi's values for the positive zeros of P_q, largest first."""
-    k = np.arange(1, q // 2 + 1)
-    scale = 1.0 - 1.0 / (8.0 * q * q) + 1.0 / (8.0 * q ** 3)
-    return scale * np.cos(np.pi * (4 * k - 1) / (4 * q + 2))
-
-
-def _hermite_guess(q):
-    """Starting values for the positive zeros of He_q, largest first.
-
-    With nu = 2q + 1 and t_k - sin t_k = pi (4k - 1) / nu, the zeros are
-    near Tricomi's sqrt(2 nu) cos(t_k / 2); Gatteschi's next term improves
-    this in the bulk. The largest few take Gatteschi's expansion in the
-    zeros a_k of the Airy function instead (Gatteschi, J. Comput. Appl.
-    Math. 144, 2002; as in Townsend, Trogdon and Olver, IMA J. Numer.
-    Anal. 36, 2016).
-
-    t - sin t is convex and increasing on [0, pi] and at least t^3 / 12
-    there, so Newton's method started at min(pi, (12 c)^(1/3)) descends
-    monotonically onto each t_k.
-    """
-    nu = 2.0 * q + 1.0
-    c = np.pi * (4 * np.arange(1, q // 2 + 1) - 1) / nu
-    t = np.minimum(np.pi, np.cbrt(12.0 * c))
-    for _ in range(8):  # six reach double precision
-        s = np.sin(0.5 * t)
-        t = t - (t - np.sin(t) - c) / (2.0 * s * s)
-    s2 = np.sin(0.5 * t) ** 2
-    x2 = (nu * np.cos(0.5 * t) ** 2
-          - (1.25 / (s2 * s2) - 1.0 / s2 - 0.25) / (3.0 * nu))
-    # the Airy expansion is the closer one on about the 0.4 sqrt(q) largest
-    a = _AIRY_ZEROS[:min(q // 2, round(0.4 * math.sqrt(q)))]
-    r = 2.0 ** (1 / 3)
-    x2[:a.size] = (
-        nu + r * r * a * nu ** (1 / 3) + r ** 4 / 5 * a ** 2 * nu ** (-1 / 3)
-        + (11 / 35 - 0.25 - 12 / 175 * a ** 3) / nu
-        + (16 / 1575 * a + 92 / 7875 * a ** 4) * r * r * nu ** (-5 / 3)
-        - (15152 / 3031875 * a ** 5 + 1088 / 121275 * a ** 2) * r
-        * nu ** (-7 / 3))
-    return np.sqrt(2.0 * x2)
-
-
-@lru_cache(maxsize=64)
-def _jacobi_uniform_cached(order):
-    k = np.arange(1, order + 1, dtype=float)
-    # p_k = sqrt(2k + 1) P_k, and (1 - x^2) P_q' = q (P_{q-1} - x P_q)
-    c = math.sqrt((2.0 * order + 1.0) / (2.0 * order - 1.0))
-    return _gauss_rule(
-        k / np.sqrt(4.0 * k * k - 1.0), _legendre_guess(order),
-        lambda x, pm, p: order * (c * pm - x * p) / ((1.0 - x) * (1.0 + x)))
-
-
-@lru_cache(maxsize=64)
-def _hermite_prob_cached(order):
-    k = np.arange(1, order + 1, dtype=float)
-    root = math.sqrt(order)
-    # p_q' = sqrt(q) p_{q-1}
-    return _gauss_rule(np.sqrt(k), _hermite_guess(order),
-                       lambda x, pm, p: root * pm)
-
-
-def _gauss_jacobi_uniform(order):
-    return _jacobi_uniform_cached(_check_order(order))
-
-
-def _gauss_hermite_prob(order):
-    return _hermite_prob_cached(_check_order(order))
-
-
 class GridDensitySampler:
     """Inverse-CDF sampler for a density g with respect to a reference
     measure, tabulated on a grid.
@@ -337,7 +275,7 @@ class GridDensitySampler:
     keeps densities that vanish on whole intervals exact.
     """
 
-    def __init__(self, nodes, cell_masses, tol):
+    def __init__(self, nodes, cell_masses):
         nodes = np.asarray(nodes, dtype=float)
         cell_masses = np.asarray(cell_masses, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
@@ -348,8 +286,8 @@ class GridDensitySampler:
             raise NegativeDensityError("negative cell mass")
 
         total = float(cell_masses.sum())
-        if not math.isfinite(total) or abs(total - 1.0) > tol:
-            raise NotADensityError(total, tol)
+        if not math.isfinite(total) or abs(total - 1.0) > GRID_MASS_TOL:
+            raise NotADensityError(total, GRID_MASS_TOL)
 
         # drop numerically empty cells so flat CDF stretches cannot leak
         # samples into zero-density regions
@@ -462,25 +400,24 @@ def _sorted_distinct(x):
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
-def refined_grid(g, measure, *, support=None, initial_cells=2048,
-                 max_cell_mass=1e-3, breakpoints=None, max_refinements=12):
+def refined_grid(g, measure, *, support=None, breakpoints=None):
     """Adaptive grid for tabulating the density g w.r.t. the measure.
 
-    Starts from ``initial_cells`` uniform cells on the support (plus any
-    known ``breakpoints`` of g), then bisects cells heavier than
-    ``max_cell_mass`` so that no single cell dominates the inverse CDF.
+    Starts from GRID_CELLS uniform cells on the support (plus any known
+    ``breakpoints`` of g), then bisects cells heavier than
+    GRID_MAX_CELL_MASS so that no single cell dominates the inverse CDF.
     Returns (nodes, cell_masses).
     """
     lo, hi = support if support is not None else measure.effective_support()
-    nodes = np.linspace(lo, hi, initial_cells + 1)
+    nodes = np.linspace(lo, hi, GRID_CELLS + 1)
     if breakpoints is not None:
         pts = np.asarray(breakpoints, dtype=float)
         pts = pts[(pts > lo) & (pts < hi)]
         nodes = _sorted_distinct(np.concatenate((nodes, pts)))
 
     masses = _cell_masses(g, measure, nodes)
-    for _ in range(max_refinements):
-        heavy = masses > max_cell_mass
+    for _ in range(GRID_REFINEMENTS):
+        heavy = masses > GRID_MAX_CELL_MASS
         if not heavy.any():
             break
         extra = 0.5 * (nodes[:-1][heavy] + nodes[1:][heavy])
@@ -489,26 +426,20 @@ def refined_grid(g, measure, *, support=None, initial_cells=2048,
     return nodes, masses
 
 
-def build_density_sampler(g, measure, tol=1e-8, *, support=None,
-                          initial_cells=2048, max_cell_mass=1e-3,
-                          breakpoints=None, max_refinements=12):
+def build_density_sampler(g, measure, *, support=None, breakpoints=None):
     """Build a GridDensitySampler for the density g w.r.t. the measure.
 
     Parameters
     ----------
     g : callable
         Vectorized candidate density with respect to ``measure``; must
-        integrate to 1 within ``tol``.
+        integrate to 1 within GRID_MASS_TOL.
     measure : ReferenceMeasure
-    tol : float
-        Mass-verification tolerance.
     support : (lo, hi), optional
         Interval to grid; defaults to the measure's effective support.
-    initial_cells, max_cell_mass, breakpoints, max_refinements :
-        Grid controls, see ``refined_grid``.
+    breakpoints : array_like, optional
+        Known breakpoints of g, added to the grid, see ``refined_grid``.
     """
-    nodes, masses = refined_grid(
-        g, measure, support=support, initial_cells=initial_cells,
-        max_cell_mass=max_cell_mass, breakpoints=breakpoints,
-        max_refinements=max_refinements)
-    return GridDensitySampler(nodes, masses, tol)
+    nodes, masses = refined_grid(g, measure, support=support,
+                                 breakpoints=breakpoints)
+    return GridDensitySampler(nodes, masses)

@@ -53,7 +53,6 @@ from .lsq import weighted_gram
 from .measures import (GridDensitySampler, build_density_sampler,  # noqa: F401
                        refined_grid)
 
-STATIC_MASS_TOL = 1e-8
 # nu_m proposals per batch and per step of the sequential DPP sampler; step
 # k accepts a proposal with probability (m - k + 1) / m, so the last step
 # of an m-point draw exhausts the budget with probability about
@@ -274,7 +273,7 @@ def _nu_sampler(basis):
     nu = getattr(basis, "_dppls_nu", None)
     if nu is None:
         breaks = basis.cell_edges() if isinstance(basis, PiecewiseConstantBasis) else None
-        nu = build_density_sampler(basis.christoffel, basis.measure, STATIC_MASS_TOL,
+        nu = build_density_sampler(basis.christoffel, basis.measure,
                                    support=basis.measure.effective_support(basis.m),
                                    breakpoints=breaks)
         basis._dppls_nu = nu

@@ -1,13 +1,15 @@
 """Process-pooled Monte Carlo loops shared by the statistical tests.
 
-Each helper is a per-replicate function run through the experiment
-harness's replicate runner (`experiments._run_replicates`), with the RNG
-stream ``replicate_stream(seed, replicate, KEY)``. The runner hands a job
-function a block of streams at a time, and `_each` applies the helper to
-every stream of the block. Its output is therefore a pure function of
-(parameters, seed) no matter how replicates are chunked across workers.
-KEY is an arbitrary integer, distinct per helper, that keeps draws
-uncorrelated between helpers sharing a seed.
+Each helper is a job run through the experiment harness's replicate
+runner (`experiments._run_replicates`), with the RNG stream
+``replicate_stream(seed, replicate, KEY)``. The runner hands a job
+function a block of streams at a time. The projection-DPP jobs draw the
+whole block with one `draw_designs` call; the others are per-replicate
+functions, which `_each` applies to every stream of the block. Either
+way a helper's output is a pure function of (parameters, seed) no matter
+how replicates are chunked across workers. KEY is an arbitrary integer,
+distinct per helper, that keeps draws uncorrelated between helpers
+sharing a seed.
 
 Relative errors come from the error-table job itself
 (`experiments._error_block`), run through the same runner.
@@ -24,9 +26,10 @@ import numpy as np
 
 from dppls.experiments import (TARGETS, ExperimentConfig, _error_block,
                                _get_basis, _run_replicates, _worker_pool)
-from dppls.lsq import empirical_gram, empirical_seminorm, weighted_lsq_fit
-from dppls.samplers import (Weight, draw_design, sample_christoffel,
-                            sample_dpp, sample_volume)
+from dppls.lsq import (empirical_gram, empirical_seminorm, weighted_gram,
+                       weighted_lsq_fit)
+from dppls.samplers import (Weight, draw_design, draw_designs,
+                            sample_christoffel, sample_volume)
 
 _WORKERS = min(8, os.cpu_count() or 1)
 
@@ -38,53 +41,64 @@ def _each(fn, *args_and_streams):
     return [fn(*args, stream) for stream in streams]
 
 
-def _replicates(fn, args, key, total, seed, workers):
-    """[fn(*args, stream) for each of `total` replicate streams] on a pool
-    opened for this call."""
+def _blocks(job, args, key, total, seed, workers):
+    """job(*args, streams)'s records, one per stream, for each of `total`
+    replicate streams on a pool opened for this call."""
     with _worker_pool(workers) as pool:
-        [out] = _run_replicates([(_each, (fn, *args), (key,))], total, seed,
-                                workers, pool)
+        [out] = _run_replicates([(job, args, (key,))], total, seed, workers,
+                                pool)
     return out
 
 
-# ---------------------------------------------------------------------------
-# piecewise-constant projection draws: cell occupancy and Gram deviation
+def _replicates(fn, args, key, total, seed, workers):
+    """[fn(*args, stream) for each of `total` replicate streams]."""
+    return _blocks(_each, (fn, *args), key, total, seed, workers)
 
-def _pwc_draw(m, gen):
+
+# ---------------------------------------------------------------------------
+# projection-DPP draws, a block of streams at a time: at n = m the
+# repeated-DPP scheme is one gamma_m draw per stream, so row i of the
+# block is sample_dpp(basis, streams[i]) bit for bit
+
+def _dpp_block(family, m, streams):
+    """(points, weights, features) of one gamma_m draw per stream."""
+    return draw_designs("repeated-dpp", _get_basis(family, m), m, streams)
+
+
+def _pwc_block(m, streams):
+    """(misses a cell, max |G - I| entry) per draw."""
     basis = _get_basis("pwc", m)
-    design = sample_dpp(basis, gen)
-    cells = np.sort(basis.cell_index(design.points))
-    dev = np.abs(empirical_gram(design, basis).matrix - np.eye(m)).max()
-    return not np.array_equal(cells, np.arange(m)), float(dev)
+    pts, w, phi = _dpp_block("pwc", m, streams)
+    cells = np.sort(basis.cell_index(pts), axis=1)
+    dev = np.abs(weighted_gram(phi, w) - np.eye(m)).max(axis=(1, 2))
+    return list(zip(np.any(cells != np.arange(m), axis=1).tolist(),
+                    dev.tolist()))
 
 
 def pwc_dpp_summary(m, total, seed, workers=_WORKERS):
     """(draws missing a cell, max |G - I| entry) over `total` draws."""
-    draws = _replicates(_pwc_draw, (m,), 901, total, seed, workers)
+    draws = _blocks(_pwc_block, (m,), 901, total, seed, workers)
     return sum(bad for bad, _ in draws), max(dev for _, dev in draws)
 
 
-# ---------------------------------------------------------------------------
-# projection-DPP coordinate pools
-
-def _dpp_points(family, m, gen):
-    return sample_dpp(_get_basis(family, m), gen).points
+def _dpp_points(family, m, streams):
+    return list(_dpp_block(family, m, streams)[0])
 
 
-def _dpp_first_coord(family, m, gen):
-    return _dpp_points(family, m, gen)[0]
+def _dpp_first_coord(family, m, streams):
+    return _dpp_block(family, m, streams)[0][:, 0].tolist()
 
 
 def dpp_first_coords(family, m, total, seed, workers=_WORKERS):
-    return np.array(_replicates(_dpp_first_coord, (family, m), 902, total,
-                                seed, workers))
+    return np.array(_blocks(_dpp_first_coord, (family, m), 902, total,
+                            seed, workers))
 
 
 def dpp_all_coords(family, m, total, seed, workers=_WORKERS):
     """All m coordinates of `total` draws pooled (the joint law is
     exchangeable, so each coordinate is marginally nu_m)."""
-    return np.concatenate(_replicates(_dpp_points, (family, m), 903, total,
-                                      seed, workers))
+    return np.concatenate(_blocks(_dpp_points, (family, m), 903, total,
+                                  seed, workers))
 
 
 # ---------------------------------------------------------------------------

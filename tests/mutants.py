@@ -58,9 +58,9 @@ MUTANTS = (
     Mutant("volume-extras-from-mu", "samplers.py",
            "_iid_numbers(self.weight, basis, gen, extra)",
            "_iid_numbers(Weight(0.0) if self.permute else self.weight, basis, gen, extra)"),
-    Mutant("coarse-nu-table", "samplers.py",
-           "breakpoints=breaks)",
-           "breakpoints=breaks, initial_cells=64, max_cell_mass=0.05)"),
+    Mutant("coarse-nu-table", "measures.py",
+           "GRID_CELLS = 2048\nGRID_MAX_CELL_MASS = 1e-3\n",
+           "GRID_CELLS = 64\nGRID_MAX_CELL_MASS = 0.05\n"),
     Mutant("squared-dpp-acceptance", "samplers.py",
            "xs[u * norms2 < resid2]",
            "xs[u * norms2 ** 2 < resid2 ** 2]"),
@@ -113,13 +113,17 @@ MUTANTS = (
            "            for j in range(len(jobs))]\n",
            ("tests/test_experiments.py",)),
     Mutant("gauss-newton-on-p-q-minus-1", "measures.py",
-           "        p = (x * cur - back * prev) / b[-1]\n"
-           "        step = p / derivative(x, cur, p)",
-           "        p = cur\n"
-           "        step = p / derivative(x, prev, p)",
+           "        p = (x * cur - back * prev) / b[-1]\n",
+           "        p, cur = cur, prev\n",
            GAUSS_TARGETS),
     Mutant("gauss-nodes-at-guesses", "measures.py",
            "        x = x - step\n", "        break\n", GAUSS_TARGETS),
+    Mutant("trapezoid-step-not-halved", "lsq.py",
+           "            h /= 2\n", "            h /= 1\n", GAUSS_TARGETS),
+    Mutant("quantile95-branches-swapped", "experiments.py",
+           "b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g",
+           "a + (b - a) * g if g >= 0.5 else b - (b - a) * (1.0 - g)",
+           ("tests/test_experiments.py",)),
     Mutant("stacked-fit-unscaled-rhs", "lsq.py",
            "b = (f_values[solve] * scale[solve])[..., None]",
            "b = f_values[solve][..., None]", FIT_TARGETS),

@@ -15,7 +15,7 @@ distributional tests have an oracle that shares no code with the package.
 import math
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermevander
+from numpy.polynomial.hermite_e import hermegauss, hermevander
 from numpy.polynomial.legendre import legvander
 from scipy.special import erfc
 from scipy.stats import norm as _gaussian
@@ -103,6 +103,14 @@ def legendre_row(xs, m):
     V = legvander(xs, m - 1)
     scale = np.sqrt(2.0 * np.arange(m) + 1.0)
     return V * scale
+
+
+def hermite_gauss_rule(q):
+    """(nodes, weights) of the q-point Gauss rule of the standard Gaussian
+    measure: numpy's hermegauss, for the weight exp(-x^2/2), with its
+    weights divided by sqrt(2 pi)."""
+    nodes, weights = hermegauss(q)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
 def uniform_cdf(xs, lo=-1.0, hi=1.0):

@@ -173,7 +173,7 @@ for scheme in ("repeated-dpp", "iid-christoffel"):
 assert "numpy.ma" not in sys.modules
 # numpy.polynomial loads six modules; the grid rule is written out instead
 assert not loaded("numpy.polynomial"), loaded("numpy.polynomial")
-dppls.StandardGaussian().gauss_quadrature(64)
+dppls.StandardGaussian().trapezoid_rule(0.5)
 dppls.UniformInterval().gauss_quadrature(64)
 assert not loaded("scipy"), loaded("scipy")
 for m in (10, 20, 30, 40, 50):
@@ -196,7 +196,7 @@ assert not loaded("scipy"), loaded("scipy")
 
 def test_import_does_not_load_scipy():
     """The samplers run on numpy alone, without numpy.ma or
-    numpy.polynomial; the Gauss rules and the error evaluators load no
+    numpy.polynomial; the quadrature rules and the error evaluators load no
     scipy or numpy.polynomial, and an error-table cell no numpy.ma."""
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
                           capture_output=True, text=True,

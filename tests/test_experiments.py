@@ -616,6 +616,21 @@ def test_minimal_stable_n_exhausts_to_none():
     assert got is None
 
 
+def test_minimal_stable_n_takes_the_volume_alias():
+    """'volume-rescaled' walks the same cells as 'volume'."""
+    args = ("legendre", 3, 0.75, 10, 0, 12)
+    got = minimal_stable_n(args[0], "volume-rescaled", *args[1:])
+    assert got is not None
+    assert got == minimal_stable_n(args[0], "volume", *args[1:])
+
+
+def test_minimal_stable_n_rejects_conditioned_scheme():
+    """A conditioned design meets the event by construction, so, as in
+    stability_map, the scheme has no stable n to search for."""
+    with pytest.raises(ValidationError):
+        minimal_stable_n("legendre", "repeated-dpp-cond", 3, 0.75, 10, 0, 12)
+
+
 def test_minimal_stable_n_worker_count_invariant():
     got = [minimal_stable_n("legendre", "iid-christoffel", 3, 0.75,
                             replicates=30, seed=0, n_max=30, workers=w)

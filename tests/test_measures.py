@@ -1,4 +1,5 @@
-"""Reference measures, Gauss rules, and the grid inverse-CDF sampler."""
+"""Reference measures, their quadrature rules, and the grid inverse-CDF
+sampler."""
 
 import math
 
@@ -12,8 +13,9 @@ from dppls.errors import (EmptyDesignError, NegativeDensityError,
                           NotADensityError, QuadratureAccuracyError,
                           UnsupportedOrderError)
 from dppls.measures import (DEFAULT_MAX_QUAD_ORDER, GridDensitySampler,
-                            StandardGaussian, UniformInterval,
-                            build_density_sampler, max_quad_order)
+                            ReferenceMeasure, StandardGaussian,
+                            UniformInterval, build_density_sampler,
+                            max_quad_order)
 from dppls.samplers import _nu_sampler
 
 import oracles
@@ -65,17 +67,13 @@ def test_sample_iid_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules
+# quadrature rules
 
-def test_gaussian_order_one_rule():
-    rule = GAUSSIAN.gauss_quadrature(1)
-    assert rule.nodes.tolist() == [0.0]
-    assert rule.weights.tolist() == [1.0]
-
-
-def test_gaussian_second_moment_exact():
-    rule = GAUSSIAN.gauss_quadrature(2)
-    assert rule.integrate(lambda x: x * x) == pytest.approx(1.0, abs=1e-14)
+def test_gaussian_has_no_gauss_rule():
+    """The Gaussian measure's only rule is the trapezoid rule."""
+    assert StandardGaussian.gauss_quadrature is ReferenceMeasure.gauss_quadrature
+    with pytest.raises(NotImplementedError):
+        GAUSSIAN.gauss_quadrature(2)
 
 
 def test_uniform_second_moment_exact():
@@ -85,22 +83,8 @@ def test_uniform_second_moment_exact():
 
 @pytest.mark.parametrize("order", [1, 2, 5, 12, 40])
 def test_rule_weights_sum_to_one(order):
-    for measure in (UNIFORM, GAUSSIAN):
-        rule = measure.gauss_quadrature(order)
-        assert abs(rule.weights.sum() - 1.0) < 1e-12
-
-
-def _uniform_moment(k):
-    return 0.0 if k % 2 else 1.0 / (k + 1)
-
-
-def _gaussian_moment(k):
-    if k % 2:
-        return 0.0
-    out = 1.0
-    for j in range(1, k, 2):
-        out *= j
-    return out
+    rule = UNIFORM.gauss_quadrature(order)
+    assert abs(rule.weights.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("order", [2, 5, 9])
@@ -110,54 +94,43 @@ def test_monomial_exactness_up_to_degree(order):
     Odd moments vanish by cancellation of terms as large as sum w|x|^k,
     so the tolerance scales with that magnitude, not with the result.
     """
-    for measure, moment in ((UNIFORM, _uniform_moment), (GAUSSIAN, _gaussian_moment)):
-        rule = measure.gauss_quadrature(order)
-        for k in range(2 * order):
-            got = rule.integrate(lambda x, k=k: x ** k)
-            scale = rule.integrate(lambda x, k=k: np.abs(x) ** k)
-            assert got == pytest.approx(moment(k), abs=1e-13 * scale + 1e-13)
+    rule = UNIFORM.gauss_quadrature(order)
+    for k in range(2 * order):
+        got = rule.integrate(lambda x, k=k: x ** k)
+        scale = rule.integrate(lambda x, k=k: np.abs(x) ** k)
+        moment = 0.0 if k % 2 else 1.0 / (k + 1)
+        assert got == pytest.approx(moment, abs=1e-13 * scale + 1e-13)
 
 
-@pytest.mark.parametrize("kind, order", [
-    (kind, order) for kind in ("hermite", "legendre") for order in (31, 64, 128)]
-    + [("hermite", 256)])
-def test_weights_accurate_relative_to_themselves(kind, order):
+@pytest.mark.parametrize("order", [31, 64, 128], ids=lambda q: f"legendre-{q}")
+def test_weights_accurate_relative_to_themselves(order):
     """Every Gauss node matches a 40-digit reference to 1e-12, and every
     weight, tail weights far below the largest included, to a relative
     1e-10.
 
-    mpmath's rules are for exp(-x^2) on the line and for dx on [-1, 1];
-    the probability versions scale the Hermite nodes by sqrt(2) and divide
-    its weights by sqrt(pi), and halve the Legendre weights.
+    mpmath's rule is for dx on [-1, 1]; the probability version halves its
+    weights.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        xs, ws = mpmath.gauss_quadrature(order, kind)
-        if kind == "hermite":
-            measure = GAUSSIAN
-            xs = [x * mpmath.sqrt(2) for x in xs]
-            ws = [w / mpmath.sqrt(mpmath.pi) for w in ws]
-        else:
-            measure = UNIFORM
-            ws = [w / 2 for w in ws]
+        xs, ws = mpmath.gauss_quadrature(order, "legendre")
         want_x = np.array([float(x) for x in xs])
-        want_w = np.array([float(w) for w in ws])
+        want_w = np.array([float(w / 2) for w in ws])
     order_by = np.argsort(want_x)
-    rule = measure.gauss_quadrature(order)
+    rule = UNIFORM.gauss_quadrature(order)
     assert rule.nodes == pytest.approx(want_x[order_by], abs=1e-12)
     assert rule.weights == pytest.approx(want_w[order_by], rel=1e-10, abs=0)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 5, 31, 64, 65, 128, 1024, 2048])
-@pytest.mark.parametrize("kind", ["hermite", "legendre"])
-def test_nodes_are_the_jacobi_eigenvalues(kind, order, quad_cap_2048):
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 31, 64, 65, 128, 1024, 2048],
+                         ids=lambda q: f"legendre-{q}")
+def test_nodes_are_the_jacobi_eigenvalues(order, quad_cap_2048):
     """The Newton nodes are the Jacobi matrix's eigenvalues as LAPACK's
     'sterf' and 'stemr' compute them, to 1e-12 of the largest node."""
     from scipy.linalg import eigvalsh_tridiagonal
-    measure = GAUSSIAN if kind == "hermite" else UNIFORM
-    nodes = measure.gauss_quadrature(order).nodes
+    nodes = UNIFORM.gauss_quadrature(order).nodes
     k = np.arange(1, order, dtype=float)
-    off = np.sqrt(k) if kind == "hermite" else k / np.sqrt(4.0 * k * k - 1.0)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
     for driver in ("sterf", "stemr"):
         want = eigvalsh_tridiagonal(np.zeros(order), off, lapack_driver=driver)
         assert np.abs(nodes - want).max() <= 1e-12 * np.abs(want).max(), driver
@@ -172,12 +145,10 @@ def test_unsettled_newton_raises_and_error_cell_fails(monkeypatch, tmp_path,
     from dppls import cli, experiments
     monkeypatch.setattr(measures, "NEWTON_ITERATIONS", 1)
     monkeypatch.setattr(experiments, "_evaluator_cache", {})
-    measures._hermite_prob_cached.cache_clear()
-    measures._jacobi_uniform_cached.cache_clear()
-    for measure in (UNIFORM, GAUSSIAN):
-        for order in (2, 64):
-            with pytest.raises(QuadratureAccuracyError):
-                measure.gauss_quadrature(order)
+    measures._gauss_legendre.cache_clear()
+    for order in (2, 64):
+        with pytest.raises(QuadratureAccuracyError):
+            UNIFORM.gauss_quadrature(order)
     out = tmp_path / "t.csv"
     schemes = ["iid-mu", "volume"]
     assert cli.main(["error-table", "--basis", "legendre", "--scheme", *schemes,
@@ -197,11 +168,10 @@ def test_grid_cell_rule_is_leggauss_bit_for_bit():
 
 def test_high_order_weights_are_a_probability_vector(monkeypatch):
     monkeypatch.setenv("DPPLS_MAX_QUAD_ORDER", "2048")
-    for measure in (UNIFORM, GAUSSIAN):
-        w = measure.gauss_quadrature(2048).weights
-        assert np.all(np.isfinite(w))
-        assert np.all(w >= 0.0)
-        assert abs(w.sum() - 1.0) < 1e-12
+    w = UNIFORM.gauss_quadrature(2048).weights
+    assert np.all(np.isfinite(w))
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("m, h", [(1, 0.5), (10, 0.0625), (50, 0.125)])
@@ -237,7 +207,7 @@ def test_order_cap_env_override(monkeypatch):
 # grid inverse-CDF sampler
 
 def test_flat_density_matches_uniform_cdf():
-    sampler = build_density_sampler(lambda x: np.ones_like(x), UNIFORM, 1e-8)
+    sampler = build_density_sampler(lambda x: np.ones_like(x), UNIFORM)
     rng = np.random.default_rng(11)
     xs = np.array([sampler.sample(rng) for _ in range(10_000)])
     stat = kstest(xs, oracles.uniform_cdf).statistic
@@ -245,7 +215,7 @@ def test_flat_density_matches_uniform_cdf():
 
 
 def test_cubic_density_matches_closed_form_cdf():
-    sampler = build_density_sampler(lambda x: 3.0 * np.asarray(x) ** 2, UNIFORM, 1e-8)
+    sampler = build_density_sampler(lambda x: 3.0 * np.asarray(x) ** 2, UNIFORM)
     rng = np.random.default_rng(12)
     xs = np.array([sampler.sample(rng) for _ in range(10_000)])
     stat = kstest(xs, lambda q: (np.asarray(q) ** 3 + 1.0) / 2.0).statistic
@@ -254,18 +224,18 @@ def test_cubic_density_matches_closed_form_cdf():
 
 def test_negative_density_rejected():
     with pytest.raises(NegativeDensityError):
-        build_density_sampler(lambda x: -np.ones_like(x), UNIFORM, 1e-8)
+        build_density_sampler(lambda x: -np.ones_like(x), UNIFORM)
 
 
 def test_wrong_mass_rejected():
     with pytest.raises(NotADensityError):
-        build_density_sampler(lambda x: 2.0 * np.ones_like(x), UNIFORM, 1e-8)
+        build_density_sampler(lambda x: 2.0 * np.ones_like(x), UNIFORM)
 
 
 def test_flat_density_indistinguishable_from_iid():
     """Two-sample KS between the grid sampler with g = 1 and direct
     i.i.d. draws, at the 0.1% level."""
-    sampler = build_density_sampler(lambda x: np.ones_like(x), UNIFORM, 1e-8)
+    sampler = build_density_sampler(lambda x: np.ones_like(x), UNIFORM)
     rng = np.random.default_rng(13)
     grid_draws = np.array([sampler.sample(rng) for _ in range(10_000)])
     direct = UNIFORM.sample(np.random.default_rng(14), 10_000)
@@ -286,7 +256,7 @@ def test_refined_grid_nodes_are_np_unique_of_the_merged_nodes():
 
 
 def test_grid_sampler_deterministic():
-    sampler = build_density_sampler(lambda x: np.ones_like(x), UNIFORM, 1e-8)
+    sampler = build_density_sampler(lambda x: np.ones_like(x), UNIFORM)
     a = [sampler.sample(np.random.default_rng(5)) for _ in range(20)]
     b = [sampler.sample(np.random.default_rng(5)) for _ in range(20)]
     assert a == b
@@ -295,7 +265,7 @@ def test_grid_sampler_deterministic():
 def test_gaussian_grid_sampler_cdf_accessible():
     """The sampler's tabulated CDF agrees at its nodes with the target CDF
     it was built from."""
-    sampler = build_density_sampler(lambda x: np.ones_like(x), GAUSSIAN, 1e-8)
+    sampler = build_density_sampler(lambda x: np.ones_like(x), GAUSSIAN)
     want = oracles.gaussian_cdf(sampler.nodes)
     assert np.allclose(sampler.cum, want, atol=1e-6)
 
@@ -332,7 +302,7 @@ def _gapped_sampler():
     def g(x):
         x = np.asarray(x)
         return 2.0 * ((x < -0.9) | (np.abs(x) < 0.2) | (x > 0.5))
-    return build_density_sampler(g, UNIFORM, 1e-8,
+    return build_density_sampler(g, UNIFORM,
                                  breakpoints=(-0.9, -0.2, 0.2, 0.5))
 
 
@@ -341,7 +311,7 @@ def _single_cell_runs_sampler():
     that some runs have two knots and the end-slope guards fire."""
     masses = np.random.default_rng(90).lognormal(sigma=3.0, size=40)
     masses[[0, 2, 3, 7, 9, 20, 22, 39]] = 0.0
-    return GridDensitySampler(np.linspace(-1.0, 1.0, 41), masses / masses.sum(), 1e-8)
+    return GridDensitySampler(np.linspace(-1.0, 1.0, 41), masses / masses.sum())
 
 
 @pytest.mark.parametrize("build, min_runs", [

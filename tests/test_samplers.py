@@ -376,14 +376,20 @@ def _kernel_moments(basis, g):
     K(x, y) = phi(x) . phi(y) on a Gauss rule (composite for pwc):
     mean = int g K(x, x) dmu and
     variance = int g^2 K(x, x) dmu - int int g(x) g(y) K(x, y)^2 dmu dmu,
-    where the double integral is sum_kl (int g phi_k phi_l dmu)^2."""
-    rule = _rule_for(basis, 64)
-    phi = basis.feature_matrix(rule.nodes)
-    gw = g(rule.nodes) * rule.weights
+    where the double integral is sum_kl (int g phi_k phi_l dmu)^2. The
+    Gaussian measure, which has no Gauss rule in the package, takes
+    numpy's Gauss-Hermite rule."""
+    if isinstance(basis, HermiteBasis):
+        nodes, weights = oracles.hermite_gauss_rule(64)
+    else:
+        rule = _rule_for(basis, 64)
+        nodes, weights = rule.nodes, rule.weights
+    phi = basis.feature_matrix(nodes)
+    gw = g(nodes) * weights
     diag = (phi * phi).sum(axis=1)
     cross = phi.T @ (gw[:, None] * phi)
     mean = gw @ diag
-    var = (gw * g(rule.nodes)) @ diag - (cross * cross).sum()
+    var = (gw * g(nodes)) @ diag - (cross * cross).sum()
     return mean, var
 
 
