@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .samplers import Weight
 
 SCHEME_TAGS = ("iid", "volume", "repeated-dpp")
+K_GRID = 100_000
 
 
 @dataclass(frozen=True)
@@ -137,21 +138,18 @@ def stability_failure_bound(scheme, m, n, delta, alpha=1.0):
                        conjecture_dependent=conjectural)
 
 
-def k_constant(basis, w=None, grid=100_000):
-    """Grid estimate of K_w = sup_x w(x)^-1 ||phi(x)||_2^2 over the
-    effective support, with w = 1 by default.
+def k_constant(basis, w=None):
+    """Grid estimate of K_w = sup_x w(x)^-1 ||phi(x)||_2^2 over K_GRID
+    evenly spaced points of the effective support, with w = 1 by default.
 
     A maximum over grid points never exceeds the true sup, so the value
     is a grid lower bound. K enters the sample-size formulas only through
     a log-free prefactor; crude accuracy is enough.
     """
-    grid = int(grid)
-    if grid < 2:
-        raise ValidationError(f"need grid >= 2, got {grid}")
     if w is None:
         w = Weight(0.0)
     lo, hi = basis.measure.effective_support(basis.m)
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, K_GRID)
     phi = basis.feature_matrix(xs)
     norms2 = np.einsum("ij,ij->i", phi, phi)
     return float(np.max(norms2 / w.evaluate(phi)))

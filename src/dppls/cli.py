@@ -14,26 +14,21 @@ from .bounds import (SCHEME_TAGS, chernoff_constants, k_constant,
                      mixed_stability_bound, required_sample_size,
                      stability_failure_bound)
 from .errors import DpplsError, ValidationError
-from .experiments import (DEFAULT_DELTA, DEFAULT_M_VALUES, STABILITY_SCHEMES,
-                          TARGETS, ExperimentConfig, conjecture_check,
-                          dump_design, error_histogram, error_table,
-                          stability_map, write_csv)
-from .samplers import SCHEMES, Weight
+from .experiments import (DEFAULT_M_VALUES, STABILITY_SCHEMES, TARGETS,
+                          ExperimentConfig, conjecture_check, dump_design,
+                          error_histogram, error_table, stability_map,
+                          write_csv)
+from .samplers import DEFAULT_DELTA, SCHEMES, Weight
 
 
-def _add_common(p, *, schemes, default_schemes, default_replicates,
-                multi_m=True):
+def _add_common(p, *, schemes, default_schemes, default_replicates):
     p.add_argument("--basis", choices=sorted(BASIS_FAMILIES),
                    default="hermite", help="feature basis family")
-    if schemes:
-        p.add_argument("--scheme", nargs="+", choices=schemes,
-                       default=list(default_schemes),
-                       help="sampling schemes to run")
-    if multi_m:
-        p.add_argument("--m", type=int, nargs="+",
-                       default=list(DEFAULT_M_VALUES), help="basis dimensions")
-    else:
-        p.add_argument("--m", type=int, required=True, help="basis dimension")
+    p.add_argument("--scheme", nargs="+", choices=schemes,
+                   default=list(default_schemes),
+                   help="sampling schemes to run")
+    p.add_argument("--m", type=int, nargs="+",
+                   default=list(DEFAULT_M_VALUES), help="basis dimensions")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--n", type=int, nargs="+", default=None,
                        help="absolute sample sizes")
@@ -109,7 +104,6 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--basis", choices=sorted(BASIS_FAMILIES), default=None,
                    help="also report the grid lower bound on K_w")
-    p.add_argument("--grid", type=int, default=100000)
     p.add_argument("--xi-m", type=float, default=None,
                    help="density ratio bound w <= xi_m w_m for the mixed "
                         "design tail bound")
@@ -119,10 +113,10 @@ def build_parser():
     return parser
 
 
-def _config_from(args, schemes=None):
+def _config_from(args):
     return ExperimentConfig(
         basis_family=args.basis,
-        schemes=tuple(schemes if schemes is not None else args.scheme),
+        schemes=tuple(args.scheme),
         m_values=tuple(args.m),
         n_values=tuple(args.n) if args.n is not None else None,
         n_multipliers=tuple(args.n_mult) if args.n_mult is not None else None,
@@ -168,7 +162,7 @@ def _run_bounds(args):
         # alpha is checked in (0, 1] by the sample sizes above
         rows.append(["k_grid_lower_bound",
                      k_constant(make_basis(args.basis, args.m),
-                                Weight(args.alpha), args.grid), ""])
+                                Weight(args.alpha)), ""])
     write_csv(args.out, ["quantity", "value", "note"], rows)
 
 

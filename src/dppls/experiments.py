@@ -44,13 +44,13 @@ from .lsq import (SINGULARITY_THRESHOLD, ErrorEvaluator,  # noqa: F401
                   empirical_gram, weighted_gram, weighted_lsq_fit,
                   weighted_lsq_fits)
 from .measures import max_quad_order
-from .samplers import (SCHEMES, canonical_scheme, draw_design,  # noqa: F401
-                       draw_designs, replicate_stream, replicate_streams)
+from .samplers import (DEFAULT_DELTA, MAX_ATTEMPTS, SCHEMES,  # noqa: F401
+                       canonical_scheme, draw_design, draw_designs,
+                       replicate_stream, replicate_streams)
 
 BLOWUP_CAP = 1e15
 DEFAULT_M_VALUES = (10, 20, 30, 40, 50)
 DEFAULT_N_MULTIPLIERS = (2, 5, 10)
-DEFAULT_DELTA = 0.75
 STABILITY_SCHEMES = ("iid-mu", "iid-christoffel", "volume", "repeated-dpp")
 # replicate streams per job-function call: enough to spread eigvalsh's
 # per-call cost, few enough that a block's Gram array stays small
@@ -83,7 +83,7 @@ TARGETS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for all experiment drivers.
+    """Shared knobs for all experiment drivers, each checked here once.
 
     Exactly one of n_values (absolute sizes) and n_multipliers (factors
     of m) is used; when both are None the defaults n = 2m, 5m, 10m apply.
@@ -100,7 +100,6 @@ class ExperimentConfig:
     seed: int = 0
     target_id: str = "inv-quad"
     workers: int = 1
-    max_attempts: int = 1000
 
     def __post_init__(self):
         if self.basis_family not in BASIS_FAMILIES:
@@ -198,7 +197,7 @@ def _conditioned_designs(config, basis, n, gens):
         try:
             design = draw_design("repeated-dpp-cond", basis, n, gen,
                                  alpha=config.alpha, delta=config.delta,
-                                 max_attempts=config.max_attempts)
+                                 max_attempts=MAX_ATTEMPTS)
         except DpplsError:
             continue
         points[i], weights[i] = design.points, design.weights
@@ -530,10 +529,17 @@ def conjecture_check(m, t_grid, replicates, seed, basis_family="legendre",
 def dump_design(scheme, basis_family, m, n, seed, alpha=1.0,
                 delta=DEFAULT_DELTA, out=None):
     """Serialize one design draw as index,x,w rows; the decimal format
-    (17 significant digits) round-trips float64 bit for bit."""
-    basis = _get_basis(basis_family, int(m))
-    design = draw_design(scheme, basis, int(n), int(seed), alpha=alpha,
-                         delta=delta)
+    (17 significant digits) round-trips float64 bit for bit.
+
+    The settings are checked by ExperimentConfig, all but n >= m: an
+    i.i.d. design may have fewer points than m."""
+    m = int(m)
+    config = ExperimentConfig(basis_family=basis_family, schemes=(scheme,),
+                              m_values=(m,), alpha=alpha, delta=delta,
+                              seed=int(seed))
+    design = draw_design(config.schemes[0], _get_basis(basis_family, m),
+                         int(n), config.seed, alpha=config.alpha,
+                         delta=config.delta)
     header = ["index", "x", "w"]
     rows = [[i, format_point(x), format_point(w)]
             for i, (x, w) in enumerate(zip(design.points, design.weights))]
@@ -542,7 +548,7 @@ def dump_design(scheme, basis_family, m, n, seed, alpha=1.0,
 
 
 def minimal_stable_n(basis_family, scheme, m, delta, replicates, seed,
-                     n_max, workers=1, alpha=1.0):
+                     n_max, workers=1):
     """Smallest n with empirical P(lambda_min(G^w) >= 1-delta) >= 1/2,
     walking n upward from m; None when n_max is passed without reaching
     the threshold. One worker pool serves the whole walk, which runs
@@ -550,7 +556,7 @@ def minimal_stable_n(basis_family, scheme, m, delta, replicates, seed,
     m, n_max = int(m), int(n_max)
     config = ExperimentConfig(basis_family=basis_family, schemes=(scheme,),
                               m_values=(m,), replicates=replicates, seed=seed,
-                              delta=delta, workers=workers, alpha=alpha)
+                              delta=delta, workers=workers)
     _check_stability_schemes(config)
     scheme = config.schemes[0]
     with _worker_pool(workers) as pool:

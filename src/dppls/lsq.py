@@ -282,9 +282,5 @@ class ErrorEvaluator:
         """||f - phi^T c|| / ||f||: rel_errors for one vector."""
         return float(self.rel_errors(np.asarray(coefficients, dtype=float)[None])[0])
 
-    def abs_error(self, coefficients):
-        """||f - phi^T c||."""
-        return self.rel_error(coefficients) * self.f_norm
-
     def f_values(self, xs):
         return np.asarray(self.f(xs), dtype=float)

@@ -183,26 +183,18 @@ def _recurrence(x, offdiag):
     """Run the orthonormal recurrence b_k p_k = x p_{k-1} - b_{k-1} p_{k-2},
     p_0 = 1, at the points x over offdiag = (b_1, ..., b_j).
 
-    Returns p_{j-1} and p_j times 2^-shift, sum_{k<=j} p_k^2 times
-    4^-shift, and shift. The values are rescaled by powers of two as they
-    grow, so they cannot overflow and the rescale itself is exact.
+    Returns p_{j-1}, p_j and sum_{k<=j} p_k^2. On [-1, 1] the orthonormal
+    Legendre values satisfy sum_{k<=j} p_k^2 <= (j + 1)^2, far from
+    overflow at any order the cap allows.
     """
     prev, cur = np.zeros_like(x), np.ones_like(x)
     total = np.ones_like(x)
-    shift = np.zeros(x.shape, dtype=int)
     back = 0.0
     for b in offdiag:
         prev, cur = cur, (x * cur - back * prev) / b
         back = b
         total += cur * cur
-        big = total > 2.0 ** 500
-        if big.any():
-            e = np.frexp(total[big])[1] // 2
-            prev[big] = np.ldexp(prev[big], -e)
-            cur[big] = np.ldexp(cur[big], -e)
-            total[big] = np.ldexp(total[big], -2 * e)
-            shift[big] += e
-    return prev, cur, total, shift
+    return prev, cur, total
 
 
 @lru_cache(maxsize=64)
@@ -237,7 +229,7 @@ def _gauss_legendre(q):
     # p_q' = q (c p_{q-1} - x p_q) / (1 - x^2)
     c = math.sqrt((2.0 * q + 1.0) / (2.0 * q - 1.0))
     for _ in range(NEWTON_ITERATIONS):
-        prev, cur, total, shift = _recurrence(x, offdiag)
+        prev, cur, total = _recurrence(x, offdiag)
         # one more step, with b_q, from p_{q-2} and p_{q-1} to p_q
         p = (x * cur - back * prev) / b[-1]
         step = p / (q * (c * cur - x * p) / ((1.0 - x) * (1.0 + x)))
@@ -256,7 +248,7 @@ def _gauss_legendre(q):
         raise QuadratureAccuracyError(
             f"the order-{q} Gauss nodes are not {q // 2} distinct positive "
             f"zeros")
-    w = np.ldexp(1.0 / total, -2 * shift)
+    w = 1.0 / total
     nodes = np.concatenate((-positive[::-1], x))
     weights = np.concatenate((w[q % 2:][::-1], w))
     weights /= weights.sum()

@@ -59,6 +59,9 @@ from .measures import (GridDensitySampler, build_density_sampler,  # noqa: F401
 # exp(-budget / m)
 DPP_PROPOSAL_BATCH = 32
 DPP_PROPOSAL_BUDGET = 1 << 14
+# default stability margin, and the conditioned scheme's redraw budget
+DEFAULT_DELTA = 0.75
+MAX_ATTEMPTS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +585,7 @@ def sample_repeated_dpp(basis, n, rng):
         basis, rng, "repeated-dpp")
 
 
-def sample_conditioned(basis, n, delta, max_attempts=1000, rng=None):
+def sample_conditioned(basis, n, delta, max_attempts=MAX_ATTEMPTS, rng=None):
     """Redraw n-point repeated-dpp designs until the stability event
     lambda_min(G^w) >= 1 - delta holds, with w = w_m; the attempt count
     is recorded on the returned sample. Attempt k is the k-th
@@ -629,8 +632,8 @@ def scheme_weight(scheme, alpha=1.0):
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
-def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=0.75,
-                max_attempts=1000):
+def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=DEFAULT_DELTA,
+                max_attempts=MAX_ATTEMPTS):
     """Draw one design under a named scheme.
 
     Schemes: 'iid-mu', 'iid-christoffel', 'volume' (alias

@@ -120,6 +120,16 @@ MUTANTS = (
            "        x = x - step\n", "        break\n", GAUSS_TARGETS),
     Mutant("trapezoid-step-not-halved", "lsq.py",
            "            h /= 2\n", "            h /= 1\n", GAUSS_TARGETS),
+    Mutant("dump-design-unchecked", "experiments.py",
+           "    config = ExperimentConfig(basis_family=basis_family, schemes=(scheme,),\n"
+           "                              m_values=(m,), alpha=alpha, delta=delta,\n"
+           "                              seed=int(seed))\n"
+           "    design = draw_design(config.schemes[0], _get_basis(basis_family, m),\n"
+           "                         int(n), config.seed, alpha=config.alpha,\n"
+           "                         delta=config.delta)\n",
+           "    design = draw_design(scheme, _get_basis(basis_family, m), int(n),\n"
+           "                         int(seed), alpha=alpha, delta=delta)\n",
+           ("tests/test_cli.py", "tests/test_experiments.py")),
     Mutant("quantile95-branches-swapped", "experiments.py",
            "b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g",
            "a + (b - a) * g if g >= 0.5 else b - (b - a) * (1.0 - g)",

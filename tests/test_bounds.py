@@ -239,7 +239,3 @@ def test_k_constant_mixture_bounded_by_alpha_inverse_m():
     got = k_constant(b, Weight(0.3))
     assert float(5) <= got <= 5.0 / 0.3 + 1e-9
 
-
-def test_k_constant_grid_validation():
-    with pytest.raises(ValidationError):
-        k_constant(make_basis("legendre", 3), grid=1)

@@ -78,12 +78,19 @@ def test_dump_design_subcommand(tmp_path):
     assert len(rows) == 7
 
 
-@pytest.mark.parametrize("alpha", ["0", "1.5"])
-def test_dump_design_volume_rejects_alpha_outside_unit_interval(alpha, capsys):
-    code = run(["dump-design", "--scheme", "volume", "--basis", "legendre",
-                "--m", "3", "--n", "7", "--alpha", alpha])
+@pytest.mark.parametrize("scheme, flag, value", [
+    pytest.param("volume", "alpha", "0", id="0"),
+    pytest.param("volume", "alpha", "1.5", id="1.5"),
+    pytest.param("iid-christoffel", "alpha", "7", id="iid-christoffel-alpha-7"),
+    pytest.param("repeated-dpp", "delta", "5", id="repeated-dpp-delta-5")])
+def test_dump_design_volume_rejects_alpha_outside_unit_interval(
+        scheme, flag, value, capsys):
+    """dump-design checks --alpha and --delta through ExperimentConfig
+    whatever the scheme, as the other subcommands do."""
+    code = run(["dump-design", "--scheme", scheme, "--basis", "legendre",
+                "--m", "3", "--n", "7", f"--{flag}", value])
     assert code == 2
-    assert "alpha" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_bounds_subcommand(tmp_path):

@@ -234,7 +234,7 @@ def _lstsq_records(config, scheme, seed, total, failing=()):
             continue
         d = draw_design(scheme, basis, 9, replicate_stream(seed, r),
                         alpha=config.alpha, delta=config.delta,
-                        max_attempts=config.max_attempts)
+                        max_attempts=experiments.MAX_ATTEMPTS)
         scale = 1.0 / np.sqrt(9 * d.weights)
         coef, _, _, sigma = np.linalg.lstsq(
             d.features * scale[:, None], ev.f_values(d.points) * scale,
@@ -459,10 +459,11 @@ def test_quantile95_is_numpy_linear_quantile_bit_for_bit():
             == q.tobytes(), x
 
 
-def test_unreachable_conditioning_reported_as_failures():
+def test_unreachable_conditioning_reported_as_failures(monkeypatch):
+    monkeypatch.setattr(experiments, "MAX_ATTEMPTS", 2)
     config = ExperimentConfig(basis_family="legendre", m_values=(3,),
                               n_values=(3,), schemes=("repeated-dpp-cond",),
-                              replicates=10, delta=0.001, max_attempts=2)
+                              replicates=10, delta=0.001)
     _, trows = error_table(config, out=io.StringIO())
     assert int(trows[0][6]) == 10
     assert math.isnan(trows[0][3]) and math.isnan(trows[0][4])
