@@ -96,15 +96,13 @@ class Weight:
 class DesignSample:
     """An ordered design x_1..x_n with the weight values w(x_i), the
     feature rows phi(x_i) (shape (n, m), evaluated once by the sampler
-    for the Gram matrix and the fit), the sampler that produced it, the
-    integer seed when one was supplied, and the number of rejection
-    attempts consumed."""
+    for the Gram matrix and the fit), the sampler that produced it and
+    the number of rejection attempts consumed."""
 
     points: np.ndarray
     weights: np.ndarray
     features: np.ndarray
     sampler_id: str
-    seed: object = None
     attempts: int = 1
 
     def __post_init__(self):
@@ -123,9 +121,8 @@ class DesignSample:
 def as_rng(rng):
     """Accept either an integer seed or a numpy Generator."""
     if isinstance(rng, np.random.Generator):
-        return rng, None
-    seed = int(rng)
-    return np.random.default_rng(seed), seed
+        return rng
+    return np.random.default_rng(int(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +287,7 @@ def sample_christoffel(basis, rng, n=None):
     """Draws from nu_m = w_m mu through the basis's one tabulated inverse
     CDF: a float when n is None, else an array of n draws. Each draw takes
     one uniform, so n single draws from a stream equal one n-draw."""
-    gen, _ = as_rng(rng)
-    return _nu_sampler(basis).sample(gen, n)
+    return _nu_sampler(basis).sample(as_rng(rng), n)
 
 
 def _iid_numbers(w, basis, gen, n):
@@ -468,7 +464,7 @@ def _sample_dpp_sequential(basis, rng):
     accepts no point within DPP_PROPOSAL_BUDGET proposals raises
     SamplerFailureError.
     """
-    gen, _ = as_rng(rng)
+    gen = as_rng(rng)
     state = empty_rotation(basis.m)
     points = []
     for _ in range(basis.m):
@@ -534,9 +530,8 @@ class _Layout(NamedTuple):
 
     def design(self, basis, rng, sampler_id):
         """The design of one stream, the k = 1 case of the block."""
-        gen, seed = as_rng(rng)
-        pts, w, phi = self.transform(basis, [self.numbers(basis, gen)])
-        return DesignSample(pts[0], w, phi, sampler_id, seed)
+        pts, w, phi = self.transform(basis, [self.numbers(basis, as_rng(rng))])
+        return DesignSample(pts[0], w, phi, sampler_id)
 
 
 def _layout(scheme, basis, n, w):
@@ -592,20 +587,24 @@ def sample_conditioned(basis, n, delta, max_attempts=MAX_ATTEMPTS, rng=None):
     sample_repeated_dpp draw of the stream, and lambda_min is
     empirical_gram's, bit for bit.
 
-    On exhaustion a ConditioningFailureError carrying the best lambda_min
-    is raised.
+    With n < m every Gram matrix is singular, so an
+    UnderdeterminedDesignError is raised before the first draw. On
+    exhaustion a ConditioningFailureError carrying the best lambda_min is
+    raised.
     """
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    gen, seed = as_rng(rng)
     layout = _layout("repeated-dpp", basis, n, Weight(1.0))
+    if n < basis.m:
+        raise UnderdeterminedDesignError(
+            f"the conditioned scheme needs n >= m, got n={n}, m={basis.m}")
+    gen = as_rng(rng)
     best = -np.inf
     for attempt in range(1, int(max_attempts) + 1):
         pts, w, phi = layout.transform(basis, [layout.numbers(basis, gen)])
         lam = float(np.linalg.eigvalsh(weighted_gram(phi, w))[0])
         if lam >= 1.0 - delta:
-            return DesignSample(pts[0], w, phi, "repeated-dpp-cond", seed,
-                                attempt)
+            return DesignSample(pts[0], w, phi, "repeated-dpp-cond", attempt)
         best = max(best, lam)
     raise ConditioningFailureError(max_attempts, best)
 
@@ -638,8 +637,8 @@ def draw_design(scheme, basis, n, rng, *, alpha=1.0, delta=DEFAULT_DELTA,
 
     Schemes: 'iid-mu', 'iid-christoffel', 'volume' (alias
     'volume-rescaled'), 'repeated-dpp', 'repeated-dpp-cond'. Passing an
-    integer for `rng` seeds a fresh stream and records it on the sample,
-    so the same call regenerates the design bit for bit.
+    integer for `rng` seeds a fresh stream, so the same call regenerates
+    the design bit for bit.
     """
     scheme = canonical_scheme(scheme)
     if scheme == "repeated-dpp-cond":

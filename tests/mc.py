@@ -3,13 +3,13 @@
 Each helper is a job run through the experiment harness's replicate
 runner (`experiments._run_replicates`), with the RNG stream
 ``replicate_stream(seed, replicate, KEY)``. The runner hands a job
-function a block of streams at a time. The projection-DPP jobs draw the
-whole block with one `draw_designs` call; the others are per-replicate
-functions, which `_each` applies to every stream of the block. Either
-way a helper's output is a pure function of (parameters, seed) no matter
-how replicates are chunked across workers. KEY is an arbitrary integer,
-distinct per helper, that keeps draws uncorrelated between helpers
-sharing a seed.
+function a block of streams at a time, and every job draws the whole
+block at once: one `draw_designs` call, then one stacked fit, Gram
+product or inverse over the stack. Row i of a block is the design that
+stream i alone would draw, bit for bit, so a helper's output is a pure
+function of (parameters, seed) no matter how replicates are chunked
+across workers. KEY is an arbitrary integer, distinct per helper, that
+keeps draws uncorrelated between helpers sharing a seed.
 
 Relative errors come from the error-table job itself
 (`experiments._error_block`), run through the same runner.
@@ -26,19 +26,10 @@ import numpy as np
 
 from dppls.experiments import (TARGETS, ExperimentConfig, _error_block,
                                _get_basis, _run_replicates, _worker_pool)
-from dppls.lsq import (empirical_gram, empirical_seminorm, weighted_gram,
-                       weighted_lsq_fit)
-from dppls.samplers import (Weight, draw_design, draw_designs,
-                            sample_christoffel, sample_volume)
+from dppls.lsq import weighted_gram, weighted_lsq_fits
+from dppls.samplers import Weight, _layout, draw_designs
 
 _WORKERS = min(8, os.cpu_count() or 1)
-
-
-def _each(fn, *args_and_streams):
-    """The runner's block interface for a per-replicate function: one
-    fn(*args, stream) per stream of the block, its last argument."""
-    *args, streams = args_and_streams
-    return [fn(*args, stream) for stream in streams]
 
 
 def _blocks(job, args, key, total, seed, workers):
@@ -50,25 +41,20 @@ def _blocks(job, args, key, total, seed, workers):
     return out
 
 
-def _replicates(fn, args, key, total, seed, workers):
-    """[fn(*args, stream) for each of `total` replicate streams]."""
-    return _blocks(_each, (fn, *args), key, total, seed, workers)
+def _designs(scheme, family, m, n, streams):
+    """(points, weights, features) of one n-point design per stream."""
+    return draw_designs(scheme, _get_basis(family, m), n, streams)
 
 
 # ---------------------------------------------------------------------------
-# projection-DPP draws, a block of streams at a time: at n = m the
-# repeated-DPP scheme is one gamma_m draw per stream, so row i of the
-# block is sample_dpp(basis, streams[i]) bit for bit
-
-def _dpp_block(family, m, streams):
-    """(points, weights, features) of one gamma_m draw per stream."""
-    return draw_designs("repeated-dpp", _get_basis(family, m), m, streams)
-
+# projection-DPP draws: at n = m the repeated-DPP scheme is one gamma_m
+# draw per stream, so row i of the block is sample_dpp(basis, streams[i])
+# bit for bit
 
 def _pwc_block(m, streams):
     """(misses a cell, max |G - I| entry) per draw."""
     basis = _get_basis("pwc", m)
-    pts, w, phi = _dpp_block("pwc", m, streams)
+    pts, w, phi = _designs("repeated-dpp", "pwc", m, m, streams)
     cells = np.sort(basis.cell_index(pts), axis=1)
     dev = np.abs(weighted_gram(phi, w) - np.eye(m)).max(axis=(1, 2))
     return list(zip(np.any(cells != np.arange(m), axis=1).tolist(),
@@ -82,11 +68,11 @@ def pwc_dpp_summary(m, total, seed, workers=_WORKERS):
 
 
 def _dpp_points(family, m, streams):
-    return list(_dpp_block(family, m, streams)[0])
+    return list(_designs("repeated-dpp", family, m, m, streams)[0])
 
 
 def _dpp_first_coord(family, m, streams):
-    return _dpp_block(family, m, streams)[0][:, 0].tolist()
+    return _designs("repeated-dpp", family, m, m, streams)[0][:, 0].tolist()
 
 
 def dpp_first_coords(family, m, total, seed, workers=_WORKERS):
@@ -104,32 +90,36 @@ def dpp_all_coords(family, m, total, seed, workers=_WORKERS):
 # ---------------------------------------------------------------------------
 # volume designs: fits, inverse-Gram traces, coordinate pools
 
-def _volume_coef(family, m, n, gen):
-    basis = _get_basis(family, m)
-    design = draw_design("volume", basis, n, gen)
-    f = TARGETS["inv-quad"].evaluator
-    return weighted_lsq_fit(f(design.points), design, basis).coefficients
+def _volume_coef(family, m, n, streams):
+    pts, w, phi = _designs("volume", family, m, n, streams)
+    return list(weighted_lsq_fits(TARGETS["inv-quad"].evaluator(pts), w,
+                                  phi)[0])
 
 
 def volume_coefficients(family, m, n, total, seed, workers=_WORKERS):
-    return np.array(_replicates(_volume_coef, (family, m, n), 904, total,
-                                seed, workers))
+    return np.array(_blocks(_volume_coef, (family, m, n), 904, total, seed,
+                            workers))
 
 
-def _trace_inv(family, m, n, gen):
-    basis = _get_basis(family, m)
-    G = empirical_gram(draw_design("volume", basis, n, gen), basis).matrix
-    return np.trace(np.linalg.inv(G))
+def _trace_inv(family, m, n, streams):
+    _, w, phi = _designs("volume", family, m, n, streams)
+    return np.trace(np.linalg.inv(weighted_gram(phi, w)), axis1=1,
+                    axis2=2).tolist()
 
 
 def volume_trace_inv(family, m, n, total, seed, workers=_WORKERS):
-    return np.array(_replicates(_trace_inv, (family, m, n), 905, total,
-                                seed, workers))
+    return np.array(_blocks(_trace_inv, (family, m, n), 905, total, seed,
+                            workers))
 
 
-def _volume_coord(family, m, n, alpha, coord, gen):
+def _volume_coord(family, m, n, alpha, coord, streams):
+    # the volume layout itself: scheme_weight, and so draw_designs, does
+    # not admit the alpha = 0 filler mu
     basis = _get_basis(family, m)
-    return sample_volume(basis, Weight(alpha), n, gen).points[coord]
+    layout = _layout("volume", basis, n, Weight(alpha))
+    pts, _, _ = layout.transform(basis, [layout.numbers(basis, gen)
+                                         for gen in streams])
+    return pts[:, coord].tolist()
 
 
 def volume_coord(family, m, n, total, seed, alpha=0.0, coord=0,
@@ -137,44 +127,45 @@ def volume_coord(family, m, n, total, seed, alpha=0.0, coord=0,
     """One fixed coordinate after the uniform permutation, with extras
     from the alpha-mixture (alpha = 0 is mu); its law is the
     single-coordinate marginal of the volume design."""
-    return np.array(_replicates(_volume_coord, (family, m, n, alpha, coord),
-                                906, total, seed, workers))
+    return np.array(_blocks(_volume_coord, (family, m, n, alpha, coord), 906,
+                            total, seed, workers))
 
 
 # ---------------------------------------------------------------------------
 # i.i.d. Christoffel designs: Gram averages, seminorm replicates, pools
 
-def _christoffel_gram(family, m, n, gen):
-    basis = _get_basis(family, m)
-    return empirical_gram(draw_design("iid-christoffel", basis, n, gen),
-                          basis).matrix
+def _christoffel_gram(family, m, n, streams):
+    _, w, phi = _designs("iid-christoffel", family, m, n, streams)
+    return list(weighted_gram(phi, w))
 
 
 def gram_mean_stats(family, m, n, total, seed, workers=_WORKERS):
     """(entrywise mean, entrywise standard error) of G^w over replicates."""
-    grams = np.array(_replicates(_christoffel_gram, (family, m, n), 907,
-                                 total, seed, workers))
+    grams = np.array(_blocks(_christoffel_gram, (family, m, n), 907, total,
+                             seed, workers))
     return grams.mean(axis=0), grams.std(axis=0) / math.sqrt(total)
 
 
-def _seminorm_square(family, m, n, gen):
-    design = draw_design("iid-christoffel", _get_basis(family, m), n, gen)
-    return empirical_seminorm(design.points, design) ** 2
+def _seminorm_square(family, m, n, streams):
+    # squared by Python's float power, as empirical_seminorm(...) ** 2
+    # is: numpy's x ** 2 rounds a few of these values differently
+    x, w, _ = _designs("iid-christoffel", family, m, n, streams)
+    return [math.sqrt(v) ** 2 for v in np.mean(x * x / w, axis=1).tolist()]
 
 
 def seminorm_squares(family, m, n, total, seed, workers=_WORKERS):
     """||f||_n^2 replicates for f(x) = x under i.i.d. nu_m designs."""
-    return np.array(_replicates(_seminorm_square, (family, m, n), 908, total,
-                                seed, workers))
+    return np.array(_blocks(_seminorm_square, (family, m, n), 908, total,
+                            seed, workers))
 
 
-def _christoffel_point(family, m, gen):
-    return sample_christoffel(_get_basis(family, m), gen)
+def _christoffel_point(family, m, streams):
+    return _designs("iid-christoffel", family, m, 1, streams)[0][:, 0].tolist()
 
 
 def christoffel_points(family, m, total, seed, workers=_WORKERS):
-    return np.array(_replicates(_christoffel_point, (family, m), 909, total,
-                                seed, workers))
+    return np.array(_blocks(_christoffel_point, (family, m), 909, total, seed,
+                            workers))
 
 
 # ---------------------------------------------------------------------------

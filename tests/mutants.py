@@ -112,6 +112,18 @@ MUTANTS = (
            "    return [flat[j * replicates:(j + 1) * replicates]\n"
            "            for j in range(len(jobs))]\n",
            ("tests/test_experiments.py",)),
+    Mutant("chunk-ranges-overlap", "experiments.py",
+           "    return [(a, min(a + size, replicates)) for a in range(0, replicates, size)]\n",
+           "    return [(max(0, a - 1), min(a + size, replicates))\n"
+           "            for a in range(0, replicates, size)]\n",
+           ("tests/test_experiments.py",)),
+    Mutant("conditioned-underdetermined-unchecked", "samplers.py",
+           "    if n < basis.m:\n"
+           "        raise UnderdeterminedDesignError(\n"
+           "            f\"the conditioned scheme needs n >= m, got n={n}, "
+           "m={basis.m}\")\n",
+           "",
+           ("tests/test_samplers.py", "tests/test_cli.py")),
     Mutant("gauss-newton-on-p-q-minus-1", "measures.py",
            "        p = (x * cur - back * prev) / b[-1]\n",
            "        p, cur = cur, prev\n",

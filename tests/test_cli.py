@@ -227,10 +227,13 @@ def test_stability_map_rejects_conditioned_scheme_flag():
 
 
 def test_underdetermined_dump_exits_2(capsys):
-    code = run(["dump-design", "--scheme", "volume", "--basis", "legendre",
-                "--m", "5", "--n", "3"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    """n < m is a configuration error for both schemes that need n >= m,
+    not a numeric failure after the conditioned scheme's redraws."""
+    for scheme in ("volume", "repeated-dpp-cond"):
+        code = run(["dump-design", "--scheme", scheme, "--basis", "legendre",
+                    "--m", "5", "--n", "3"])
+        assert code == 2, scheme
+        assert "error:" in capsys.readouterr().err
 
 
 def test_n_below_m_exits_2(capsys):

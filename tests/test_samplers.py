@@ -245,10 +245,18 @@ def test_dpp_pwc_one_point_per_cell():
             assert sorted(b.cell_index(d.points)) == [0, 1, 2, 3]
 
 
+def _one_stream_dpp(basis, seed, k):
+    """The points (k, m) of k successive gamma_m draws from the one stream
+    replicate_stream(seed, 0): draw_designs takes each listed stream's
+    numbers in turn, so listing the stream k times gives the k draws of
+    a sample_dpp loop bit for bit."""
+    return draw_designs("repeated-dpp", basis, basis.m,
+                        [replicate_stream(seed, 0)] * k)[0]
+
+
 def test_dpp_m1_is_christoffel_law():
     b = make_basis("legendre", 1)
-    rng = replicate_stream(25, 0)
-    xs = np.array([sample_dpp(b, rng).points[0] for _ in range(4_000)])
+    xs = _one_stream_dpp(b, 25, 4_000)[:, 0]
     assert kstest(xs, oracles.uniform_cdf).pvalue > 0.001
 
 
@@ -337,22 +345,18 @@ def test_dpp_rank_deficient_basis_exhausts_proposal_budget():
 
 def test_dpp_hermite_m1_is_gaussian():
     b = make_basis("hermite", 1)
-    rng = replicate_stream(60, 0)
-    xs = np.array([sample_dpp(b, rng).points[0] for _ in range(4_000)])
+    xs = _one_stream_dpp(b, 60, 4_000)[:, 0]
     assert kstest(xs, oracles.gaussian_cdf).pvalue > 0.001
 
 
 def test_dpp_hermite_coordinates_exchangeable():
-    b = make_basis("hermite", 5)
-    rng = replicate_stream(61, 0)
-    pts = np.array([sample_dpp(b, rng).points for _ in range(4_000)])
+    pts = _one_stream_dpp(make_basis("hermite", 5), 61, 4_000)
     assert ks_2samp(pts[:, 0], pts[:, -1]).pvalue > 0.001
 
 
 def test_dpp_legendre_on_shifted_interval():
-    b = LegendreBasis(3, UniformInterval(0.0, 2.0))
-    rng = replicate_stream(62, 0)
-    xs = np.concatenate([sample_dpp(b, rng).points for _ in range(3_000)])
+    xs = _one_stream_dpp(LegendreBasis(3, UniformInterval(0.0, 2.0)), 62,
+                         3_000).ravel()
     assert np.all((xs >= 0.0) & (xs <= 2.0))
     cdf = oracles.christoffel_cdf("legendre", 3)
     assert kstest(xs - 1.0, cdf).pvalue > 0.001
@@ -568,6 +572,16 @@ def test_conditioned_mean_attempts_moderate():
         assert g.lambda_min >= 0.25
         total += d.attempts
     assert total / 100 < 10.0
+
+
+def test_conditioned_needs_n_at_least_m():
+    """With n < m every Gram matrix is singular, so the scheme is rejected
+    before its first draw, as volume sampling is."""
+    b = make_basis("legendre", 5)
+    gen = replicate_stream(71, 0)
+    with pytest.raises(UnderdeterminedDesignError):
+        sample_conditioned(b, 3, 0.75, rng=gen)
+    assert gen.random() == replicate_stream(71, 0).random()
 
 
 def test_conditioned_delta_domain():
